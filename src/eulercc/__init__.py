@@ -15,7 +15,6 @@ from .charcycle import (
     chamber_witnesses,
     enumerate_chambers,
     is_nondegenerate,
-    multiplicity,
     multiplicity_at,
     support_contains,
 )
@@ -137,7 +136,6 @@ __all__ = [
     "jshriek_extend",
     "jstar_extend",
     "local_index",
-    "multiplicity",
     "multiplicity_at",
     "random_fixture",
     "rat",

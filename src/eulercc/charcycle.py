@@ -1,27 +1,37 @@
 """Characteristic cycles as lazily evaluated chamber multiplicity data.
 
-Over each stratum the nondegenerate conormal covectors fall into finitely
+Over each stratum S the nondegenerate conormal covectors fall into finitely
 many open cones, cut out by the hyperplanes paired with star vertices; the
-cycle is the assignment chamber -> integer multiplicity, with multiplicity
-alpha(S) minus the lower-halflink integral.  Nothing is materialized: theorem
-checks only ever query finitely many covectors.
+cycle is the assignment chamber -> integer multiplicity.  With b the
+barycenter of S, the multiplicity at xi is the lower-link sum
+
+    m(S, xi) = alpha(S) - sum of (-1)^dim(tau - S) * alpha(tau)
+
+over the strict cofaces tau of S whose added vertices p all satisfy
+xi . (p - b) < 0, so it depends on the chamber of xi only.  The sum is the
+integral of alpha over the lower halflink of S at xi, by the conic structure
+of the star of S (see constructible.halflink_integral), and the formula is
+the PL local index formula for characteristic cycles (Kashiwara-Schapira,
+Sheaves on Manifolds, Ch. IX; Schapira, "Operations on constructible
+functions", JPAA 1991).  tests/test_halflink_oracle.py checks it against the
+exact normal-slice geometry.  Nothing is materialized: theorem checks only
+ever query finitely many covectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from weakref import WeakKeyDictionary
 
-from .complexes import EmbeddedComplex, Simplex, StratumRef, carrier, simplex
+from .complexes import EmbeddedComplex, Simplex, StratumRef, carrier
 from .constructible import (
     ConstructibleFunction,
     dual,
     halflink_integral,
     is_conormal,
-    star_vertex_ids,
+    star_signs,
 )
-from .errors import DegeneracyError, InputError
+from .errors import InputError
 from .linalg import Vec, orthogonal_complement, strict_feasibility
 
 SignVector = tuple[tuple[int, int], ...]  # ((star vertex id, sign), ...) sorted
@@ -59,38 +69,22 @@ def is_nondegenerate(cx: EmbeddedComplex, S, xi: Vec) -> bool:
         S = cx.stratum(S)
     if not is_conormal(cx, S, xi):
         raise InputError(f"covector not conormal to {sorted(S.simplex)}")
-    b = S.barycenter
-    return all(xi.dot(cx.vertices[p] - b) != 0 for p in star_vertex_ids(cx, S.simplex))
+    return all(xi.dot(d) != 0 for d in cx.star_geometry(S).directions)
 
 
 def strict_sign_vector(cx: EmbeddedComplex, S: StratumRef, xi: Vec) -> SignVector:
     """Chamber key of a nondegenerate covector; degeneracy raises."""
-    b = S.barycenter
-    out: list[tuple[int, int]] = []
-    for p in star_vertex_ids(cx, S.simplex):
-        pairing = xi.dot(cx.vertices[p] - b)
-        if pairing == 0:
-            raise DegeneracyError(
-                f"covector pairs to zero with star vertex {p} of {sorted(S.simplex)}",
-                witness={"stratum": tuple(sorted(S.simplex)), "star_vertex": p},
-            )
-        out.append((p, 1 if pairing > 0 else -1))
-    return tuple(out)
+    return tuple(star_signs(cx, S, xi))
 
 
 def weak_sign_vector(cx: EmbeddedComplex, S: StratumRef, xi: Vec) -> SignVector:
     """Like strict_sign_vector but zeros are kept (closure membership tests)."""
-    b = S.barycenter
+    star = cx.star_geometry(S)
     out: list[tuple[int, int]] = []
-    for p in star_vertex_ids(cx, S.simplex):
-        pairing = xi.dot(cx.vertices[p] - b)
+    for p, d in zip(star.vertex_ids, star.directions):
+        pairing = xi.dot(d)
         out.append((p, 0 if pairing == 0 else (1 if pairing > 0 else -1)))
     return tuple(out)
-
-
-_CHAMBER_CACHE: "WeakKeyDictionary[EmbeddedComplex, dict[Simplex, tuple[ConormalChamber, ...]]]" = (
-    WeakKeyDictionary()
-)
 
 
 def enumerate_chambers(cx: EmbeddedComplex, S) -> list[ConormalChamber]:
@@ -99,25 +93,20 @@ def enumerate_chambers(cx: EmbeddedComplex, S) -> list[ConormalChamber]:
     Incremental construction over the star-vertex hyperplane arrangement in
     the conormal subspace: every chamber of the first i hyperplanes is
     extended by the sign it already realizes for free, and by the opposite
-    sign through one exact feasibility call.
+    sign through one exact feasibility call.  The chambers are stored in the
+    complex's star geometry of S.
     """
     if not isinstance(S, StratumRef):
         S = cx.stratum(S)
-    per_complex = _CHAMBER_CACHE.setdefault(cx, {})
-    cached = per_complex.get(S.simplex)
-    if cached is not None:
-        return list(cached)
-    sverts = star_vertex_ids(cx, S.simplex)
-    if not sverts:
-        result = (ConormalChamber(S, (), Vec.zero(cx.ambient_dim)),)
-        per_complex[S.simplex] = result
-        return list(result)
+    star = cx.star_geometry(S)
+    if star.chambers is not None:
+        return list(star.chambers)
+    if not star.vertex_ids:
+        star.chambers = (ConormalChamber(S, (), Vec.zero(cx.ambient_dim)),)
+        return list(star.chambers)
     basis = conormal_basis(cx, S)
     w = len(basis)
-    b = S.barycenter
-    functionals = [
-        Vec(tuple(e.dot(cx.vertices[p] - b) for e in basis)) for p in sverts
-    ]
+    functionals = [Vec(tuple(e.dot(d) for e in basis)) for d in star.directions]
     partial: list[tuple[list[int], Vec]] = [([], Vec.zero(w))]
     for i, func in enumerate(functionals):
         grown: list[tuple[list[int], Vec]] = []
@@ -141,11 +130,11 @@ def enumerate_chambers(cx: EmbeddedComplex, S) -> list[ConormalChamber]:
         for coeff, e in zip(wit_t, basis):
             xi = xi + e.scale(coeff)
         chambers.append(
-            ConormalChamber(S, tuple(zip(sverts, signs)), xi)
+            ConormalChamber(S, tuple(zip(star.vertex_ids, signs)), xi)
         )
     chambers.sort(key=lambda c: c.sign_vector)
-    per_complex[S.simplex] = tuple(chambers)
-    return list(chambers)
+    star.chambers = tuple(chambers)
+    return chambers
 
 
 def chamber_witnesses(
@@ -160,13 +149,12 @@ def chamber_witnesses(
     if not chamber.sign_vector:
         return out[:count]
     S = chamber.stratum
-    b = S.barycenter
-    dirs = [(p, cx.vertices[p] - b) for p, _ in chamber.sign_vector]
+    dirs = cx.star_geometry(S).directions
     for e in conormal_basis(cx, S):
         if len(out) >= count:
             break
         margin: Fraction | None = None
-        for _, d in dirs:
+        for d in dirs:
             denom = abs(e.dot(d))
             if denom != 0:
                 bound = abs(chamber.witness.dot(d)) / denom
@@ -180,7 +168,14 @@ def chamber_witnesses(
 
 
 def multiplicity_at(alpha: ConstructibleFunction, S, xi: Vec) -> int:
-    """alpha(S) minus the lower-halflink integral; no memoization."""
+    """m(S, xi) = alpha(S) minus the lower-link sum; no memoization.
+
+    The lower-link sum, computed by halflink_integral, runs over the strict
+    cofaces tau of S whose added vertices all pair negatively with xi, and
+    equals the integral of alpha over the lower halflink of S at xi.  A
+    covector that is not conormal raises InputError; a degenerate one raises
+    DegeneracyError with the stratum and the first star vertex it annihilates.
+    """
     cx = alpha.complex
     if not isinstance(S, StratumRef):
         S = cx.stratum(S)
@@ -199,7 +194,6 @@ class CharacteristicCycle:
         self.alpha = alpha
         self.complex = alpha.complex
         self._memo: dict[tuple[Simplex, SignVector], int] = {}
-        self._nonzero: dict[Simplex, bool] = {}
 
     def multiplicity(self, S, xi: Vec) -> int:
         cx = self.complex
@@ -222,14 +216,6 @@ class CharacteristicCycle:
     def nonzero_chambers(self, s) -> list[tuple[ConormalChamber, int]]:
         return [(c, m) for c, m in self.chamber_multiplicities(s) if m != 0]
 
-    def has_nonzero_chamber(self, s) -> bool:
-        fs = simplex(s)
-        cached = self._nonzero.get(fs)
-        if cached is None:
-            cached = bool(self.nonzero_chambers(fs))
-            self._nonzero[fs] = cached
-        return cached
-
     def closure_supports(self, S, xi: Vec) -> bool:
         """Is (base of S, xi) in the closed support, tested at stratum S only?
 
@@ -246,10 +232,6 @@ class CharacteristicCycle:
             if all(weak[p] == 0 or weak[p] == s for p, s in chamber.sign_vector):
                 return True
         return False
-
-
-def multiplicity(cc: CharacteristicCycle, S, xi: Vec) -> int:
-    return cc.multiplicity(S, xi)
 
 
 def support_contains(cc: CharacteristicCycle, x: Vec, xi: Vec) -> bool:

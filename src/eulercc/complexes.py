@@ -52,6 +52,20 @@ class StratumRef:
     barycenter: Vec
 
 
+@dataclass
+class StarGeometry:
+    """The local cone of a stratum S, filled once per stratum and complex.
+
+    vertex_ids are the vertices of the strict cofaces of S outside S, sorted;
+    directions[i] is vertex_ids[i] minus the barycenter of S.  chambers is
+    None until charcycle.enumerate_chambers stores the conormal chambers of S.
+    """
+
+    vertex_ids: tuple[int, ...]
+    directions: tuple[Vec, ...]
+    chambers: tuple | None = None
+
+
 @dataclass(frozen=True)
 class SlicePiece:
     """relint(face) cut by an affine level set."""
@@ -92,6 +106,7 @@ class EmbeddedComplex:
                         by_simplex[fs].append(tau)
         self._cofaces = {s: tuple(sorted(cs, key=sort_key)) for s, cs in by_simplex.items()}
         self._strata: dict[Simplex, StratumRef] = {}
+        self._stars: dict[Simplex, StarGeometry] = {}
 
     # -- basic queries -------------------------------------------------
 
@@ -131,6 +146,20 @@ class EmbeddedComplex:
         ref = StratumRef(fs, len(fs) - 1, basis, bary)
         self._strata[fs] = ref
         return ref
+
+    def star_geometry(self, S: StratumRef) -> StarGeometry:
+        """Star vertices, star directions and chambers of S, computed once."""
+        cached = self._stars.get(S.simplex)
+        if cached is not None:
+            return cached
+        ids: set[int] = set()
+        for tau in self._cofaces[S.simplex]:
+            ids |= tau
+        vertex_ids = tuple(sorted(ids - S.simplex))
+        b = S.barycenter
+        geo = StarGeometry(vertex_ids, tuple(self.vertices[p] - b for p in vertex_ids))
+        self._stars[S.simplex] = geo
+        return geo
 
     def strict_cofaces(self, s: Iterable[int]) -> tuple[Simplex, ...]:
         fs = simplex(s)

@@ -18,14 +18,13 @@ from .complexes import (
     StratumRef,
     as_region,
     closed_star,
-    closed_star_of_simplex,
     simplex,
     slice_pieces,
     sort_key,
 )
 from .errors import DegeneracyError, InputError, UnstableLevelError
 from .functions import AffineFunction
-from .linalg import Vec, rat, solve_affine, strict_feasibility
+from .linalg import Vec, rat
 from .subdivision import SubdivisionResult, hyperplane_side
 
 
@@ -155,15 +154,7 @@ def slice_integral(
     return total
 
 
-# -- halflink geometry --------------------------------------------------
-
-
-def star_vertex_ids(cx: EmbeddedComplex, s: Simplex) -> list[int]:
-    """Vertices of strict cofaces not in s: the directions spanning the local cone."""
-    out: set[int] = set()
-    for tau in cx.strict_cofaces(s):
-        out |= tau
-    return sorted(out - s)
+# -- lower links ---------------------------------------------------------
 
 
 def is_conormal(cx: EmbeddedComplex, S: StratumRef, xi: Vec) -> bool:
@@ -179,106 +170,59 @@ def _require_conormal(cx: EmbeddedComplex, S: StratumRef, xi: Vec) -> None:
         )
 
 
-def normal_slice_vertices(
-    cx: EmbeddedComplex, S: StratumRef
-) -> list[tuple[Simplex, Vec]]:
-    """Vertices of the polytopes {cl(tau) meet N} over the closed star of S.
+def star_signs(cx: EmbeddedComplex, S: StratumRef, xi: Vec) -> list[tuple[int, int]]:
+    """(p, sign of xi . (p - b)) for each star vertex p of S, in vertex order.
 
-    N is the normal slice through the barycenter.  Each polytope vertex is the
-    unique point of aff(phi) meet N for some face phi whose closed simplex
-    contains it; minimal faces realize every vertex, so scanning all faces of
-    the closed star is exhaustive.
+    A zero pairing makes xi degenerate over S and raises with the first such
+    star vertex as witness.
     """
-    out: list[tuple[Simplex, Vec]] = []
-    b = S.barycenter
-    for sigma in sorted(closed_star_of_simplex(cx, S.simplex), key=sort_key):
-        verts = cx.coords(sigma)
-        k = len(verts)
-        eqs: list[tuple[Vec, Fraction]] = [(Vec((Fraction(1),) * k), Fraction(1))]
-        for d in S.direction_basis:
-            eqs.append((Vec(tuple(d.dot(v) for v in verts)), d.dot(b)))
-        sol = solve_affine(eqs, k)
-        if sol is None or sol.dim != 0:
-            continue
-        weights = sol.point
-        if any(w < 0 for w in weights):
-            continue
-        point = Vec.zero(cx.ambient_dim)
-        for w, v in zip(weights, verts):
-            point = point + v.scale(w)
-        out.append((sigma, point))
+    star = cx.star_geometry(S)
+    out: list[tuple[int, int]] = []
+    for p, d in zip(star.vertex_ids, star.directions):
+        pairing = xi.dot(d)
+        if pairing == 0:
+            raise DegeneracyError(
+                f"covector pairs to zero with star vertex {p} of {sorted(S.simplex)}",
+                witness={"stratum": tuple(sorted(S.simplex)), "star_vertex": p},
+            )
+        out.append((p, 1 if pairing > 0 else -1))
     return out
 
 
-def halflink_epsilon(cx: EmbeddedComplex, S: StratumRef, xi: Vec) -> Fraction | None:
-    """Half the smallest positive |xi . (w - barycenter)| over tube vertices.
-
-    Any level -eps with 0 < eps below that minimum has the same combinatorial
-    slice type, which is what makes the halflink well defined; None when the
-    pairing vanishes on the whole tube (empty halflink).
-    """
-    b = S.barycenter
-    best: Fraction | None = None
-    for _, w in normal_slice_vertices(cx, S):
-        pairing = abs(xi.dot(w - b))
-        if pairing != 0 and (best is None or pairing < best):
-            best = pairing
-    if best is None:
-        return None
-    return best / 2
-
-
 def halflink_integral(alpha: ConstructibleFunction, S, xi: Vec) -> int:
-    """Integral of alpha over the lower halflink {xi . (y - b) = -eps}.
+    """Integral of alpha over the lower halflink of S at xi, by the lower link.
 
-    The halflink lives in the normal slice N through the barycenter, inside
-    the closed-star tube; its cells are the nonempty sets
-    relint(sigma) meet N meet {level}, each a bounded relatively open convex
-    set contributing alpha(sigma) * (-1)^dim.
+    With b the barycenter of S and xi a nondegenerate conormal covector, the
+    integral is
+
+        sum of (-1)^dim(tau - S) * alpha(tau)
+
+    over the strict cofaces tau of S whose added vertices p all satisfy
+    xi . (p - b) < 0.  This is the integral over the halflink
+    {xi . (y - b) = -eps} in the normal slice through b, for small eps > 0,
+    because the star of S is a cone.  In the slice, the points whose germ
+    lies in tau fill the cone from b over the open link face tau - S, and
+    xi . (y - b) is affine there, zero at b and equal to xi . (p - b) at the
+    added vertex p.  So the level meets that cone in a copy of the points of
+    the open face where xi . (y - b) <= -eps: the whole open face when every
+    added vertex lies below, with compactly supported Euler characteristic
+    (-1)^dim(tau - S); an open simplex cut by a closed half-space, with
+    chi_c = 0, when the added vertices lie on both sides; nothing when they
+    all lie above.  This is the PL form of the local index formula for
+    characteristic cycles (Kashiwara-Schapira, Sheaves on Manifolds, Ch. IX).
+    tests/test_halflink_oracle.py checks the identity against the exact
+    normal-slice geometry.
     """
     cx = alpha.complex
     if not isinstance(S, StratumRef):
         S = cx.stratum(S)
     _require_conormal(cx, S, xi)
-    b = S.barycenter
-    for p in star_vertex_ids(cx, S.simplex):
-        if xi.dot(cx.vertices[p] - b) == 0:
-            raise DegeneracyError(
-                f"covector pairs to zero with star vertex {p} of {sorted(S.simplex)}",
-                witness={"stratum": tuple(sorted(S.simplex)), "star_vertex": p},
-            )
-    if not cx.strict_cofaces(S.simplex):
-        return 0
-    eps = halflink_epsilon(cx, S, xi)
-    if eps is None:
-        return 0
-    level = -eps
-    tube = sorted(closed_star_of_simplex(cx, S.simplex), key=sort_key)
-    if S.dim == 0:
-        # pure vertex-value combinatorics: eps excludes every vertex pairing,
-        # so straddling decides nonemptiness without any feasibility call
-        total = 0
-        for sigma in tube:
-            vals = [xi.dot(cx.vertices[v] - b) for v in sorted(sigma)]
-            lo, hi = min(vals), max(vals)
-            if lo < level < hi:
-                # germ value: rays from the stratum into this piece pass
-                # through the join simplex, whose value is the local one
-                total += alpha.value(sigma | S.simplex) * sign_of_dim(len(sigma) - 2)
-        return total
+    below = {p for p, sign in star_signs(cx, S, xi) if sign < 0}
     total = 0
-    for sigma in tube:
-        verts = cx.coords(sigma)
-        k = len(verts)
-        eqs: list[tuple[Vec, Fraction]] = [(Vec((Fraction(1),) * k), Fraction(1))]
-        for d in S.direction_basis:
-            eqs.append((Vec(tuple(d.dot(v) for v in verts)), d.dot(b)))
-        eqs.append((Vec(tuple(xi.dot(v) for v in verts)), xi.dot(b) + level))
-        stricts = [(Vec.unit(k, i), Fraction(0)) for i in range(k)]
-        res = strict_feasibility(eqs, stricts, [], k)
-        if res.feasible:
-            # join value, as in the vertex fast path above
-            total += alpha.value(sigma | S.simplex) * sign_of_dim(res.dim)
+    for tau in cx.strict_cofaces(S.simplex):
+        added = tau - S.simplex
+        if added <= below:
+            total += alpha.value(tau) * sign_of_dim(len(added) - 1)
     return total
 
 

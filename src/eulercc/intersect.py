@@ -40,7 +40,6 @@ from .constructible import (
     jstar_extend,
     side_partition,
     slice_integral,
-    star_vertex_ids,
     transport,
 )
 from .errors import (
@@ -448,10 +447,8 @@ def _decomposable(
             ):
                 return True
             continue
-        b2 = S2.barycenter
         candidates = {Fraction(0)}
-        for p in star_vertex_ids(cx, s2):
-            dvec = cx.vertices[p] - b2
+        for dvec in cx.star_geometry(S2).directions:
             a = dg.dot(dvec)
             if a != 0:
                 lam_p = xi.dot(dvec) / a

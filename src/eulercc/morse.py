@@ -3,8 +3,9 @@
 Critical points of an affine-plus-quadratic function on a stratum are the
 solutions of an exact linear system in barycentric coordinates; indices come
 from the inertia of the restricted Hessian.  The stabilized count drives the
-same sum through a decreasing perturbation schedule until the value is
-certifiably constant.
+same sum through a decreasing perturbation schedule until stability_window
+consecutive values agree.  That window is evidence that the count has reached
+its eta -> 0+ limit, not a certificate of it.
 """
 
 from __future__ import annotations
@@ -251,7 +252,7 @@ def stabilized_count(
     tube=None,
     cc: CharacteristicCycle | None = None,
 ) -> tuple[int, StabilizationReport]:
-    """Morse count inside the tube, certified stable along the schedule.
+    """Morse count inside the tube, once stability_window values agree.
 
     A nonzero-multiplicity critical point on the tube boundary poisons that
     eta (the count would not be localized); degeneracies likewise.  Poisoned

@@ -16,7 +16,6 @@ from eulercc import (
     euler_integral,
     from_values,
     is_nondegenerate,
-    multiplicity,
     multiplicity_at,
     simplex,
     support_contains,

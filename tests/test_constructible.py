@@ -34,11 +34,11 @@ from eulercc import (
 )
 from eulercc.complexes import closed_star_of_simplex, is_subcomplex
 from eulercc.constructible import (
-    halflink_epsilon,
     level_restriction,
     side_partition,
     sign_of_dim,
 )
+from halflink_oracle import halflink_epsilon
 
 
 def test_sign_of_dim() -> None:
@@ -219,8 +219,9 @@ def test_halflink_frozen_at_cone_point(by_name) -> None:
 
 def test_halflink_rejects_degenerate_covector(by_name) -> None:
     fx = by_name["cone3"]
-    with pytest.raises(DegeneracyError):
+    with pytest.raises(DegeneracyError) as exc:
         multiplicity_at(fx.functions["one"], simplex([0]), Vec.of(1, 1))
+    assert exc.value.witness == {"stratum": (0,), "star_vertex": 3}
 
 
 def test_multiplicity_vanishes_at_flat_interior_vertex(by_name) -> None:
