@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 from eulercc import (
+    BoundaryCollisionError,
     HypothesisViolationError,
     InputError,
+    NonConvergenceError,
     TheoremReport,
     TransversalityError,
     Vec,
@@ -122,9 +124,9 @@ def test_local_index_frozen_on_interval_endpoint(by_name) -> None:
     fx = by_name["interval"]
     report = local_index(fx.functions["one"], 0, seed=0)
     assert report.holds and report.lhs == report.rhs == 1
-    levels = report.artifacts["levels"]
-    assert 2 <= len(levels) <= 5
-    assert all(rec["status"] == "stable" for rec in levels)
+    (count,) = [e for e in report.hypothesis_log if e["check"] == "star-count"]
+    assert count["levels_used"] == 1 and count["seeds_rejected"] == 0
+    assert report.artifacts["rejected"] == ()
 
 
 def test_local_index_at_branch_point(by_name) -> None:
@@ -138,6 +140,18 @@ def test_local_index_at_branch_point(by_name) -> None:
 def test_local_index_rejects_non_vertex(by_name) -> None:
     with pytest.raises(InputError):
         local_index(by_name["interval"].functions["one"], 99)
+
+
+def test_local_index_exhausts_seeds_with_typed_error(by_name, monkeypatch) -> None:
+    def collide(*args, **kwargs):
+        raise BoundaryCollisionError("critical point on the tube boundary")
+
+    monkeypatch.setattr("eulercc.intersect.stabilized_count", collide)
+    with pytest.raises(NonConvergenceError) as exc:
+        local_index(by_name["interval"].functions["one"], 0, seed=0)
+    trace = exc.value.trace
+    assert [rec["seed"] for rec in trace] == [9973 * k for k in range(6)]
+    assert all(rec["reason"] == "critical point on the tube boundary" for rec in trace)
 
 
 def test_boundary_estimate_frozen_on_elbow(by_name) -> None:
