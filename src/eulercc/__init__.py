@@ -70,9 +70,7 @@ from .intersect import (
 from .linalg import Fraction, SymMatrix, Vec, rat, strict_feasibility
 from .morse import (
     CriticalPoint,
-    PerturbationSchedule,
     RationalSampler,
-    StabilizationReport,
     critical_points,
     stabilized_count,
     stratified_morse_sum,
@@ -94,10 +92,8 @@ __all__ = [
     "HypothesisViolationError",
     "InputError",
     "NonConvergenceError",
-    "PerturbationSchedule",
     "QuadAffineFunction",
     "RationalSampler",
-    "StabilizationReport",
     "StratumRef",
     "Subcomplex",
     "SymMatrix",

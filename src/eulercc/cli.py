@@ -183,15 +183,7 @@ def _cmd_theorem1(args) -> int:
     cx = _load_complex(args)
     alpha = _load_alpha(args, cx)
     func = _load_function(args.f, cx)
-    report = verify_theorem1(
-        alpha,
-        func,
-        seed=args.seed,
-        eta_start=parse_rational(args.eta_start),
-        eta_ratio=parse_rational(args.eta_ratio),
-        stability_window=args.stability,
-    )
-    return _report_exit(args, report)
+    return _report_exit(args, verify_theorem1(alpha, func, seed=args.seed))
 
 
 def _cmd_boundary_estimate(args) -> int:
@@ -306,9 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--f", required=True, help="affine level function (JSON)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eta-start", default="1/4")
-    p.add_argument("--eta-ratio", default="1/4")
-    p.add_argument("--stability", type=int, default=3)
 
     p = add("boundary-estimate", _cmd_boundary_estimate,
             help="support bound for half-space extensions")

@@ -46,7 +46,7 @@ class BoundaryCollisionError(RuntimeError):
 
 
 class NonConvergenceError(RuntimeError):
-    """A stabilization loop ran out of levels without the required agreement."""
+    """A verifier ran out of seeds; trace carries the rejection log."""
 
     def __init__(self, message: str, trace=None):
         super().__init__(message)

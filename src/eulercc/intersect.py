@@ -52,12 +52,7 @@ from .errors import (
 )
 from .functions import AffineFunction, QuadAffineFunction, squared_distance_from
 from .linalg import Vec, rat
-from .morse import (
-    PerturbationSchedule,
-    RationalSampler,
-    stabilized_count,
-    stratified_morse_sum,
-)
+from .morse import RationalSampler, stabilized_count, stratified_morse_sum
 from .subdivision import barycentric_subdivide, subdivide_along_hyperplane
 
 
@@ -128,18 +123,16 @@ def verify_theorem1(
     alpha: ConstructibleFunction,
     f: AffineFunction,
     seed: int = 0,
-    eta_start=Fraction(1, 4),
-    eta_ratio=Fraction(1, 4),
-    steps: int = 20,
-    stability_window: int = 3,
 ) -> TheoremReport:
     """Intersection count against the relative Euler characteristic over K.
 
     LHS: integral of alpha over K minus the integral over the tube slice just
     below the zero level (the exact PL stand-in for the relative cohomology
-    of the sublevel pair).  RHS: stabilized Morse count of the perturbed
-    level function inside the tube.  Requires the met support to sit over
-    the zero level; anything else is a hypothesis violation, not a verdict.
+    of the sublevel pair).  RHS: Morse count inside the tube of f plus a
+    seeded bump at the exact eta -> 0+ limit (morse.stabilized_count).
+    Requires the met support to sit over the zero level; anything else is a
+    hypothesis violation, not a verdict.  Rejected seeds are logged; when all
+    8 fail, NonConvergenceError carries the log as its trace.
     """
     cx = alpha.complex
     hyp: list[dict] = []
@@ -206,32 +199,35 @@ def verify_theorem1(
     lhs = region_term - slice_term
     # a sampled bump can be degenerate against the complex for every eta
     # (its gradient at some vertex can pair to zero with a star direction
-    # independently of eta), so failed schedules reject the seed, not the run
+    # independently of eta), so a degenerate bump rejects the seed, not the run
     rejected: list[dict] = []
-    rhs = None
     for attempt in range(8):
-        schedule = PerturbationSchedule.from_seed(
-            seed + attempt, cx.ambient_dim, eta_start, eta_ratio, steps,
-            stability_window,
-        )
+        seed_used = seed + attempt
+        sampler = RationalSampler(seed_used)
+        # fine denominators: each flat star direction of the complex imposes
+        # one linear condition on (center, direction) that would make some
+        # pairing vanish at every eta, and large complexes carry hundreds of
+        # such conditions, so the sample grid must be much bigger than that
+        center = sampler.vector(cx.ambient_dim, max_den=64)
+        direction = sampler.nonzero_vector(cx.ambient_dim, max_den=64)
         try:
-            rhs, rep = stabilized_count(alpha2, f, schedule, spec.tube)
-        except (BoundaryCollisionError, NonConvergenceError) as exc:
-            rejected.append({"seed": seed + attempt, "reason": str(exc)})
-            last_error = exc
+            rhs = stabilized_count(alpha2, f, center, direction, spec.tube)
+        except (BoundaryCollisionError, DegeneracyError) as exc:
+            rejected.append({"seed": seed_used, "reason": str(exc)})
             continue
         break
-    if rhs is None:
-        raise last_error
+    else:
+        raise NonConvergenceError(
+            "no seed produced a nondegenerate limit count in the tube",
+            trace=tuple(rejected),
+        )
     hyp.append(
         {
-            "check": "stabilization",
+            "check": "eta-limit",
             "status": "ok",
-            "seed_used": schedule.seed,
+            "seed_used": seed_used,
             "seeds_rejected": len(rejected),
-            "window": rep.window,
-            "etas_used": len(rep.history),
-            "positive_definite": rep.hessians_positive_definite,
+            "etas_used": 1,
         }
     )
     artifacts = {
@@ -241,9 +237,8 @@ def verify_theorem1(
         "epsilon": spec.epsilon,
         "region_term": region_term,
         "slice_term": slice_term,
-        "schedule_seed": schedule.seed,
-        "seeds_rejected": tuple(rejected),
-        "stabilization": rep,
+        "seed_used": seed_used,
+        "rejected": tuple(rejected),
     }
     return TheoremReport("theorem1", lhs, rhs, lhs == rhs, tuple(hyp), artifacts)
 
@@ -271,7 +266,7 @@ def global_index(
     rejected: list[dict] = []
     for attempt in range(attempts):
         sampler = RationalSampler(seed + attempt)
-        # fine denominators, for the same reason as the schedule sampling:
+        # fine denominators, for the same reason as in verify_theorem1:
         # coarse grids collide with some star-direction condition on any
         # moderately subdivided complex
         y0 = sampler.vector(dim, max_den=64)
@@ -330,9 +325,9 @@ def local_index(alpha: ConstructibleFunction, v: int, seed: int = 0) -> TheoremR
     The paper's formula at a point reads alpha(v) as the count of critical
     points of |y - v|^2, weighted by CC(alpha), in a small conic neighbourhood
     of v.  Here that neighbourhood is the closed star of v' (the image of v)
-    after one barycentric subdivision of the two closed stars around v, and
-    the count is the stabilized count of |y - v|^2 plus a vanishing seeded
-    tilt in it.
+    after one barycentric subdivision of the closed star of v, and the count
+    is the Morse count of |y - v|^2 plus a seeded tilt in it, at the exact
+    limit of a vanishing tilt (morse.stabilized_count).
 
     One subdivision is enough.  The closed star of v' lies in the open star
     of v, and it is a cone v' * link: on each open simplex of the cone other
@@ -346,9 +341,11 @@ def local_index(alpha: ConstructibleFunction, v: int, seed: int = 0) -> TheoremR
     tests/test_local_index_oracle.py checks this count against refining
     until two consecutive levels agree.
 
-    Cutting the complex down to two closed stars keeps the work local and
-    every multiplicity seen by the count exact.  Rejected seeds are logged;
-    when all 6 fail, NonConvergenceError carries the log as its trace.
+    Cutting the complex down to the closed star of v keeps the work local and
+    every multiplicity seen by the count exact: each stratum of the closed
+    star of v', and each coface of one, lies in the subdivided closed star
+    of v.  Rejected seeds are logged; when all 6 fail, NonConvergenceError
+    carries the log as its trace.
     """
     cx = alpha.complex
     vs = simplex([v])
@@ -357,7 +354,7 @@ def local_index(alpha: ConstructibleFunction, v: int, seed: int = 0) -> TheoremR
     lhs = alpha.value(vs)
     hyp: list[dict] = [{"check": "vertex", "status": "ok", "vertex": v}]
 
-    small, vmap = induced_complex(cx, closed_star(cx, closed_star(cx, [vs])))
+    small, vmap = induced_complex(cx, closed_star(cx, [vs]))
     step = barycentric_subdivide(small, 1)
     alpha_sub = transport(_restrict_function(alpha, small, vmap), step)
     v_sub = _image_vertex(step, vmap[v])
@@ -369,18 +366,18 @@ def local_index(alpha: ConstructibleFunction, v: int, seed: int = 0) -> TheoremR
     rejected: list[dict] = []
     for attempt in range(6):
         seed_used = seed + 9973 * attempt
-        schedule = PerturbationSchedule.from_seed(
-            seed_used, cx.ambient_dim, center=center
+        direction = RationalSampler(seed_used).nonzero_vector(
+            cx.ambient_dim, max_den=64
         )
         try:
-            rhs, _ = stabilized_count(alpha_sub, distance, schedule, tube)
-        except (BoundaryCollisionError, NonConvergenceError) as exc:
+            rhs = stabilized_count(alpha_sub, distance, center, direction, tube)
+        except (BoundaryCollisionError, DegeneracyError) as exc:
             rejected.append({"seed": seed_used, "reason": str(exc)})
             continue
         break
     else:
         raise NonConvergenceError(
-            "no seed produced a stabilized count in the star of the vertex",
+            "no seed produced a nondegenerate limit count in the star of the vertex",
             trace=tuple(rejected),
         )
     hyp.append(

@@ -2,10 +2,12 @@
 
 Critical points of an affine-plus-quadratic function on a stratum are the
 solutions of an exact linear system in barycentric coordinates; indices come
-from the inertia of the restricted Hessian.  The stabilized count drives the
-same sum through a decreasing perturbation schedule until stability_window
-consecutive values agree.  That window is evidence that the count has reached
-its eta -> 0+ limit, not a certificate of it.
+from the inertia of the restricted Hessian.  The perturbed count used by the
+verifiers is taken at the exact limit eta -> 0+ of base + eta * bump: each
+sign it needs is a sign of x0 + eta*x1, read off lexicographically, which
+is symbolic perturbation in the sense of Edelsbrunner-Mucke ("Simulation of
+Simplicity", ACM TOG 1990) and Yap ("Symbolic treatment of geometric
+degeneracies", JSC 1990).  No eta is ever sampled.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .charcycle import CharacteristicCycle
 from .complexes import EmbeddedComplex, Simplex, StratumRef, as_region, sort_key
@@ -23,10 +24,9 @@ from .errors import (
     DegeneracyError,
     DegenerateFunctionError,
     InputError,
-    NonConvergenceError,
 )
-from .functions import AffineFunction, QuadAffineFunction, squared_distance_from
-from .linalg import Inertia, Vec, inertia, rat, strict_feasibility
+from .functions import AffineFunction, QuadAffineFunction
+from .linalg import Inertia, SymMatrix, Vec, inertia, solve_affine, strict_feasibility
 
 
 @dataclass(frozen=True)
@@ -164,79 +164,6 @@ class RationalSampler:
                 return v
 
 
-@dataclass(frozen=True)
-class PerturbationSchedule:
-    """Deterministic data for one stabilization run.
-
-    The perturbing bump is eta * (direction . y + |y - center|^2): strictly
-    convex, so restricted Hessians of affine bases are positive definite at
-    every eta.
-    """
-
-    seed: int
-    center: Vec
-    direction: Vec
-    eta_sequence: tuple[Fraction, ...]
-    stability_window: int
-
-    def __post_init__(self):
-        if self.stability_window < 2:
-            raise InputError("stability_window must be at least 2")
-        if len(self.eta_sequence) < self.stability_window:
-            raise InputError("schedule shorter than its stability window")
-        prev = None
-        for eta in self.eta_sequence:
-            if eta <= 0:
-                raise InputError("eta values must be positive")
-            if prev is not None and eta >= prev:
-                raise InputError("eta sequence must be strictly decreasing")
-            prev = eta
-
-    @staticmethod
-    def from_seed(
-        seed: int,
-        dim: int,
-        eta_start=Fraction(1, 4),
-        eta_ratio=Fraction(1, 4),
-        steps: int = 20,
-        stability_window: int = 3,
-        center: Vec | None = None,
-        direction: Vec | None = None,
-    ) -> "PerturbationSchedule":
-        eta_start, eta_ratio = rat(eta_start), rat(eta_ratio)
-        if not 0 < eta_ratio < 1:
-            raise InputError("eta_ratio must lie strictly between 0 and 1")
-        if eta_start <= 0:
-            raise InputError("eta_start must be positive")
-        sampler = RationalSampler(seed)
-        # fine denominators: each flat star direction of the complex imposes
-        # one linear condition on (center, direction) that would make some
-        # pairing vanish at every eta, and large complexes carry hundreds of
-        # such conditions, so the sample grid must be much bigger than that
-        if center is None:
-            center = sampler.vector(dim, max_den=64)
-        if direction is None:
-            direction = sampler.nonzero_vector(dim, max_den=64)
-        etas = tuple(eta_start * eta_ratio**i for i in range(steps))
-        return PerturbationSchedule(seed, center, direction, etas, stability_window)
-
-
-class EtaRecord(NamedTuple):
-    eta: Fraction
-    status: str  # "count" | "degenerate-critical-locus" | "degenerate-covector" | "boundary-collision"
-    count: int | None
-
-
-@dataclass(frozen=True)
-class StabilizationReport:
-    value: int
-    window: int
-    history: tuple[EtaRecord, ...]
-    nonzero_critical_interior: bool
-    covectors_nondegenerate: bool
-    hessians_positive_definite: bool
-
-
 def tube_boundary(cx: EmbeddedComplex, region) -> frozenset[Simplex]:
     """Simplices of a closed region having a strict coface outside it."""
     region = as_region(cx, region)
@@ -245,87 +172,127 @@ def tube_boundary(cx: EmbeddedComplex, region) -> frozenset[Simplex]:
     )
 
 
+def _lex_sign(x0: Fraction, x1: Fraction) -> int:
+    """Sign of x0 + eta*x1 for all small eta > 0: that of the first nonzero one."""
+    x = x0 if x0 != 0 else x1
+    return (x > 0) - (x < 0)
+
+
+def _quadratic_weight(f: QuadAffineFunction) -> Fraction:
+    """a with quadratic part a|y|^2, a >= 0; any other Hessian is refused."""
+    if f.quad is None:
+        return Fraction(0)
+    a = f.quad.rows[0][0]
+    if a < 0 or f.quad != SymMatrix.identity(f.dim).scale(a):
+        raise InputError("base function must have quadratic part a|y|^2 with a >= 0")
+    return a
+
+
+def _limit_gradient(
+    cx: EmbeddedComplex, S: StratumRef, a: Fraction, u0: Vec, u1: Vec
+) -> tuple[Vec, Vec] | None:
+    """(g0, g1) with gradient g0 + eta*g1 at the critical point on S, if interior.
+
+    f_eta has gradient s*y - u with s = 2(a + eta) and u = u0 + eta*u1.  On
+    y = v0 + D t the critical point solves G (s t) = D^T (u - s v0), G = D^T D,
+    whose right side is D^T r0 + eta D^T r1 with r_k = u_k - 2 c_k v0
+    (c_0 = a, c_1 = 1).  So s t = w0 + eta*w1 with G w_k = D^T r_k, and the
+    gradient there is g0 + eta*g1 with g_k = D w_k - r_k: minus the part of
+    r_k normal to S, so both are conormal.  The point is interior for small
+    eta when every s t_i and s (1 - sum t_i) is lexicographically positive;
+    s > 0 leaves the signs of t alone.  Vertices are always critical.
+    """
+    v0 = cx.vertices[min(S.simplex)]  # the base of S.direction_basis
+    r0 = u0 - v0.scale(2 * a)
+    r1 = u1 - v0.scale(2)
+    D = S.direction_basis
+    if not D:
+        return r0.scale(-1), r1.scale(-1)
+    d = len(D)
+    gram = [Vec(tuple(D[i].dot(D[j]) for j in range(d))) for i in range(d)]
+    w0, w1 = (
+        solve_affine([(gram[i], D[i].dot(r)) for i in range(d)], d).point
+        for r in (r0, r1)
+    )
+    slack = (2 * a - sum(w0), 2 - sum(w1))
+    if any(_lex_sign(x0, x1) <= 0 for x0, x1 in [*zip(w0, w1), slack]):
+        return None
+    g0, g1 = r0.scale(-1), r1.scale(-1)
+    for di, x0, x1 in zip(D, w0, w1):
+        g0, g1 = g0 + di.scale(x0), g1 + di.scale(x1)
+    return g0, g1
+
+
+def _limit_covector(cx: EmbeddedComplex, S: StratumRef, g0: Vec, g1: Vec) -> Vec:
+    """A covector in the chamber that g0 + eta*g1 lies in for small eta > 0.
+
+    Each star pairing of xi = g0 + eps*g1 has the lexicographic sign of
+    (g0 . d, g1 . d), since eps*|g1 . d| <= |g0 . d|/2 wherever both are
+    nonzero; a direction paired to zero by both is degenerate at every eta.
+    """
+    eps = Fraction(1)
+    star = cx.star_geometry(S)
+    for p, d in zip(star.vertex_ids, star.directions):
+        x0, x1 = g0.dot(d), g1.dot(d)
+        if x0 == 0 and x1 == 0:
+            raise DegeneracyError(
+                f"limit gradient pairs to zero with star vertex {p} of "
+                f"{sorted(S.simplex)} at every eta",
+                witness={"stratum": tuple(sorted(S.simplex)), "star_vertex": p},
+            )
+        if x0 != 0 and x1 != 0:
+            eps = min(eps, abs(x0) / (2 * abs(x1)))
+    return g0 + g1.scale(eps)
+
+
 def stabilized_count(
     alpha: ConstructibleFunction,
     base_f,
-    schedule: PerturbationSchedule,
+    center: Vec,
+    direction: Vec,
     tube=None,
     cc: CharacteristicCycle | None = None,
-) -> tuple[int, StabilizationReport]:
-    """Morse count inside the tube, once stability_window values agree.
+) -> int:
+    """Morse count in the tube of base + eta*bump at the exact limit eta -> 0+.
 
-    A nonzero-multiplicity critical point on the tube boundary poisons that
-    eta (the count would not be localized); degeneracies likewise.  Poisoned
-    or changed values reset the agreement streak.  Exhausting the schedule
-    raises, carrying the per-eta trace.
+    The bump is |y - center|^2 + direction . y, and the base must be affine,
+    or a|y|^2 plus affine with a >= 0 (else InputError).  Then every
+    quantity the count reads off a stratum is a sign of some x0 + eta*x1: the
+    interiority of the critical point and each star pairing of its gradient
+    (see _limit_gradient).  Such a sign is constant on (0, |x0/x1|), so on
+    (0, min |x0/x1|) every sign at once equals its lexicographic limit, and the
+    count there is the one computed here, exactly.  This is one-parameter
+    symbolic perturbation (Edelsbrunner-Mucke, "Simulation of Simplicity",
+    ACM TOG 1990; Yap, "Symbolic treatment of geometric degeneracies", JSC
+    1990).  The restricted Hessian (2a + 2 eta) G is positive definite, so
+    every Morse sign is +1 and the count is the sum of the limit chamber
+    multiplicities.  A star pairing that vanishes identically in eta raises
+    DegeneracyError with the stratum and star vertex; a nonzero multiplicity
+    on the tube boundary raises BoundaryCollisionError.
+    tests/test_schedule_oracle.py checks it against a decreasing eta schedule.
     """
     cx = alpha.complex
+    base_q = _as_quadratic(base_f)
+    if base_q.dim != cx.ambient_dim:
+        raise InputError("function dimension does not match the complex")
+    a = _quadratic_weight(base_q)
     region = as_region(cx, tube)
     boundary = tube_boundary(cx, region)
     if cc is None:
         cc = CharacteristicCycle(alpha)
-    base_q = _as_quadratic(base_f)
-    bump = squared_distance_from(schedule.center).add(
-        QuadAffineFunction(schedule.direction)
-    )
-    history: list[EtaRecord] = []
-    streak_value: int | None = None
-    streak = 0
-    pd_streak = True
-    last_failure: str | None = None
-    for eta in schedule.eta_sequence:
-        f_eta = base_q.add(bump.scale(eta))
-        try:
-            cps = critical_points(f_eta, cx, region)
-        except DegenerateFunctionError:
-            history.append(EtaRecord(eta, "degenerate-critical-locus", None))
-            streak, streak_value, pd_streak = 0, None, True
-            last_failure = "degeneracy"
+    u0 = base_q.linear.scale(-1)
+    u1 = center.scale(2) - direction
+    total = 0
+    for s in sorted(region, key=sort_key):
+        S = cx.stratum(s)
+        limit = _limit_gradient(cx, S, a, u0, u1)
+        if limit is None:
             continue
-        total = 0
-        positive_definite = True
-        failure: str | None = None
-        for cp in cps:
-            try:
-                m = cc.multiplicity(cp.stratum, cp.covector)
-            except DegeneracyError:
-                failure = "degenerate-covector"
-                last_failure = "degeneracy"
-                break
-            if m != 0 and cp.stratum.simplex in boundary:
-                failure = "boundary-collision"
-                last_failure = "collision"
-                break
-            if cp.hessian_inertia.n_neg or cp.hessian_inertia.n_zero:
-                positive_definite = False
-            if m != 0:
-                total += morse_sign(cp) * m
-        if failure is not None:
-            history.append(EtaRecord(eta, failure, None))
-            streak, streak_value, pd_streak = 0, None, True
-            continue
-        history.append(EtaRecord(eta, "count", total))
-        if total == streak_value:
-            streak += 1
-        else:
-            streak_value, streak = total, 1
-            pd_streak = True
-        pd_streak = pd_streak and positive_definite
-        if streak >= schedule.stability_window:
-            report = StabilizationReport(
-                value=total,
-                window=schedule.stability_window,
-                history=tuple(history),
-                nonzero_critical_interior=True,
-                covectors_nondegenerate=True,
-                hessians_positive_definite=pd_streak,
+        m = cc.multiplicity(S, _limit_covector(cx, S, *limit))
+        if m != 0 and s in boundary:
+            raise BoundaryCollisionError(
+                f"limit critical point with multiplicity {m} on tube boundary "
+                f"stratum {sorted(s)}"
             )
-            return total, report
-    if last_failure == "collision":
-        raise BoundaryCollisionError(
-            "critical point with nonzero multiplicity kept hitting the tube boundary"
-        )
-    raise NonConvergenceError(
-        "perturbation schedule exhausted without a stable count",
-        trace=tuple(history),
-    )
+        total += m
+    return total

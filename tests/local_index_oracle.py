@@ -8,13 +8,14 @@ and accept a count once two consecutive levels agree.
 
 from __future__ import annotations
 
+from schedule_oracle import PerturbationSchedule, stabilized_count
+
 from eulercc import ConstructibleFunction, simplex
 from eulercc.complexes import closed_star, closed_star_of_simplex, induced_complex
 from eulercc.constructible import transport
 from eulercc.errors import BoundaryCollisionError, NonConvergenceError
 from eulercc.functions import squared_distance_from
 from eulercc.intersect import _image_vertex, _restrict_function
-from eulercc.morse import PerturbationSchedule, stabilized_count
 from eulercc.subdivision import barycentric_subdivide
 
 

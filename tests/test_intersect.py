@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from eulercc import (
+    AffineFunction,
     BoundaryCollisionError,
     HypothesisViolationError,
     InputError,
@@ -19,6 +20,7 @@ from eulercc import (
     from_values,
     global_index,
     local_index,
+    random_fixture,
     rat,
     simplex,
     verify_theorem1,
@@ -72,9 +74,41 @@ def test_identity_log_records_every_hypothesis(by_name) -> None:
     fx = by_name["interval"]
     report = verify_theorem1(fx.functions["one"], fx.morse_inputs["x"])
     checks = [h.get("check") for h in report.hypothesis_log]
-    assert checks == ["locus", "zero-level-support", "tube-separation", "stabilization"]
+    assert checks == ["locus", "zero-level-support", "tube-separation", "eta-limit"]
     assert report.artifacts["epsilon"] > 0
     assert report.artifacts["K"] == ((0,),)
+
+
+def test_identity_seed_log_matches_the_index_verifiers(by_name) -> None:
+    fx = by_name["interval"]
+    report = verify_theorem1(fx.functions["one"], fx.morse_inputs["x"], seed=3)
+    (limit,) = [e for e in report.hypothesis_log if e["check"] == "eta-limit"]
+    assert limit["seed_used"] == 3 and limit["seeds_rejected"] == 0
+    assert limit["etas_used"] == 1
+    assert report.artifacts["seed_used"] == 3
+    assert report.artifacts["rejected"] == ()
+
+
+def test_identity_holds_where_a_coarse_eta_schedule_misreads(by_name) -> None:
+    """At eta = 1/4, 1/16 and 1/64 the perturbed count reads -6; it is -2
+    from eta = 1/256 on, and the exact limit gives -2."""
+    fx = random_fixture(4)
+    f = AffineFunction(Vec.of("1/2", "1/3"), "-4/3")
+    report = verify_theorem1(fx.functions["random0"], f)
+    assert report.holds and report.lhs == report.rhs == -2
+
+
+def test_identity_exhausts_seeds_with_typed_error(by_name, monkeypatch) -> None:
+    def collide(*args, **kwargs):
+        raise BoundaryCollisionError("critical point on the tube boundary")
+
+    monkeypatch.setattr("eulercc.intersect.stabilized_count", collide)
+    fx = by_name["interval"]
+    with pytest.raises(NonConvergenceError) as exc:
+        verify_theorem1(fx.functions["one"], fx.morse_inputs["x"])
+    trace = exc.value.trace
+    assert [rec["seed"] for rec in trace] == list(range(8))
+    assert all(rec["reason"] == "critical point on the tube boundary" for rec in trace)
 
 
 def test_identity_trivial_when_locus_is_empty(by_name) -> None:

@@ -1,4 +1,4 @@
-"""Stratumwise critical points and the perturbation/stabilization loop."""
+"""Stratumwise critical points and the Morse count at the eta -> 0+ limit."""
 
 from __future__ import annotations
 
@@ -9,10 +9,9 @@ import pytest
 from eulercc import (
     AffineFunction,
     BoundaryCollisionError,
+    DegeneracyError,
     DegenerateFunctionError,
     InputError,
-    NonConvergenceError,
-    PerturbationSchedule,
     QuadAffineFunction,
     RationalSampler,
     SymMatrix,
@@ -31,6 +30,12 @@ from eulercc.morse import morse_sign, tube_boundary
 def _parabola_1d() -> QuadAffineFunction:
     # (x - 1)^2 expanded
     return QuadAffineFunction(Vec.of(-2), rat(1), SymMatrix.identity(1))
+
+
+def _tilt(seed: int, dim: int) -> tuple[Vec, Vec]:
+    """(center, direction) of the bump, drawn as the verifiers draw them."""
+    sampler = RationalSampler(seed)
+    return sampler.vector(dim, max_den=64), sampler.nonzero_vector(dim, max_den=64)
 
 
 def test_distance_function_critical_points_frozen(by_name) -> None:
@@ -124,41 +129,9 @@ def test_rational_sampler_seeds_differ() -> None:
     assert RationalSampler(1).vector(4) != RationalSampler(2).vector(4)
 
 
-def test_schedule_validation() -> None:
-    with pytest.raises(InputError):
-        PerturbationSchedule.from_seed(0, 2, eta_start=0)
-    with pytest.raises(InputError):
-        PerturbationSchedule.from_seed(0, 2, eta_ratio=1)
-    with pytest.raises(InputError):
-        PerturbationSchedule.from_seed(0, 2, eta_ratio="3/2")
-    with pytest.raises(InputError):
-        PerturbationSchedule.from_seed(0, 2, steps=2, stability_window=3)
-    with pytest.raises(InputError):
-        PerturbationSchedule.from_seed(0, 2, stability_window=0)
-
-
-def test_schedule_etas_decrease_geometrically() -> None:
-    sched = PerturbationSchedule.from_seed(
-        7, 2, eta_start="1/2", eta_ratio="1/3", steps=5
-    )
-    etas = list(sched.eta_sequence)
-    assert etas[0] == Fraction(1, 2)
-    for prev, nxt in zip(etas, etas[1:]):
-        assert nxt == prev * Fraction(1, 3)
-    assert PerturbationSchedule.from_seed(7, 2).seed == 7
-
-
 def test_stabilized_count_frozen_on_interval(by_name) -> None:
     iv = by_name["interval"]
-    value, report = stabilized_count(
-        iv.functions["one"], _parabola_1d(), PerturbationSchedule.from_seed(0, 1)
-    )
-    assert value == 1
-    assert report.window == 3
-    assert [r.count for r in report.history] == [1, 1, 1]
-    assert [r.status for r in report.history] == ["count"] * 3
-    assert report.covectors_nondegenerate
-    assert report.hessians_positive_definite
+    assert stabilized_count(iv.functions["one"], _parabola_1d(), *_tilt(0, 1)) == 1
 
 
 def test_stabilized_count_matches_across_seeds(by_name) -> None:
@@ -166,10 +139,7 @@ def test_stabilized_count_matches_across_seeds(by_name) -> None:
     f = squared_distance_from(Vec.of("1/3", "1/3"))
     values = set()
     for seed in range(3):
-        v, _ = stabilized_count(
-            tr.functions["one"], f, PerturbationSchedule.from_seed(seed, 2)
-        )
-        values.add(v)
+        values.add(stabilized_count(tr.functions["one"], f, *_tilt(seed, 2)))
     assert values == {1}
 
 
@@ -186,25 +156,38 @@ def test_tube_boundary_frozen(by_name) -> None:
 
 
 def test_boundary_collision_is_reported(by_name) -> None:
-    """A nonzero-multiplicity critical point pinned to the tube boundary can
-    never stabilize: every eta reproduces the collision."""
+    """A nonzero-multiplicity critical point pinned to the tube boundary is
+    a collision at every small eta, so the limit count refuses it."""
     tr = by_name["triangle"]
     tube = frozenset(close_under_faces([simplex([0, 1])]))
     with pytest.raises(BoundaryCollisionError):
         stabilized_count(
             tr.functions["open_cell"],
             squared_distance_from(Vec.of(1, -1)),
-            PerturbationSchedule.from_seed(0, 2),
+            *_tilt(0, 2),
             tube,
         )
 
 
-def test_nonconvergence_on_adversarial_direction(by_name) -> None:
-    """A center/direction pair chosen so the covector at vertex 0 pairs to
-    zero with the flat star direction at every eta exhausts the schedule."""
+def test_degeneracy_on_adversarial_direction(by_name) -> None:
+    """A center/direction pair chosen so the gradient at vertex 0 pairs to
+    zero with the flat star direction at every eta is a typed degeneracy."""
     tr = by_name["triangle"]
-    sched = PerturbationSchedule.from_seed(
-        0, 2, center=Vec.of("1/2", 5), direction=Vec.of(1, 1)
-    )
-    with pytest.raises(NonConvergenceError):
-        stabilized_count(tr.functions["one"], AffineFunction(Vec.of(0, 1)), sched)
+    with pytest.raises(DegeneracyError) as exc:
+        stabilized_count(
+            tr.functions["one"],
+            AffineFunction(Vec.of(0, 1)),
+            Vec.of("1/2", 5),
+            Vec.of(1, 1),
+        )
+    assert exc.value.witness == {"stratum": (0,), "star_vertex": 1}
+
+
+def test_limit_count_refuses_non_isotropic_hessian(by_name) -> None:
+    tr = by_name["triangle"]
+    f = QuadAffineFunction(Vec.of(0, 0), rat(0), SymMatrix.from_rows([[1, 0], [0, 2]]))
+    with pytest.raises(InputError):
+        stabilized_count(tr.functions["one"], f, *_tilt(0, 2))
+    with pytest.raises(InputError):
+        concave = squared_distance_from(Vec.of(1, 1)).scale(-1)
+        stabilized_count(tr.functions["one"], concave, *_tilt(0, 2))
