@@ -340,6 +340,9 @@ def main(argv=None) -> int:
         return 2
     except (BoundaryCollisionError, NonConvergenceError) as exc:
         print(f"no stable answer: {exc}", file=sys.stderr)
+        trace = getattr(exc, "trace", None)
+        if trace is not None:
+            sys.stderr.write(dumps({"trace": trace}))
         return 2
 
 

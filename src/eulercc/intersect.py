@@ -50,10 +50,12 @@ from .errors import (
     NonConvergenceError,
     TransversalityError,
 )
-from .functions import AffineFunction, QuadAffineFunction, squared_distance_from
+from .functions import AffineFunction, squared_distance_from
 from .linalg import Vec, rat
-from .morse import RationalSampler, stabilized_count, stratified_morse_sum
+from .morse import RationalSampler, stabilized_count
 from .subdivision import barycentric_subdivide, subdivide_along_hyperplane
+
+SEED_ATTEMPTS = 8
 
 
 @dataclass(frozen=True)
@@ -119,6 +121,45 @@ def compute_intersection_locus(
     return tuple(entries), K
 
 
+def _limit_count(
+    alpha: ConstructibleFunction,
+    base,
+    region,
+    seed: int,
+    center: Vec | None = None,
+    cc: CharacteristicCycle | None = None,
+) -> tuple[int, int, Vec, Vec, tuple[dict, ...]]:
+    """Seeded eta -> 0+ Morse count of base + eta * bump in the region.
+
+    The bump is |y - center|^2 + direction . y (morse.stabilized_count); the
+    center is drawn from the seed unless given.  A draw whose gradient pairs
+    to zero with a star direction at every eta, or that counts a point on
+    the region's boundary, rejects its seed, not the run: seeds seed,
+    seed + 1, ... are tried in turn, each rejection is logged as {"seed",
+    "reason"}, and when all SEED_ATTEMPTS fail NonConvergenceError carries
+    the log as its trace.  Returns (count, seed used, center, direction, log).
+    """
+    dim = alpha.complex.ambient_dim
+    rejected: list[dict] = []
+    for seed_used in range(seed, seed + SEED_ATTEMPTS):
+        sampler = RationalSampler(seed_used)
+        # fine denominators: each flat star direction of the complex imposes
+        # one linear condition on (center, direction) that would make some
+        # pairing vanish at every eta, and large complexes carry hundreds of
+        # such conditions, so the sample grid must be much bigger than that
+        c = center if center is not None else sampler.vector(dim, max_den=64)
+        direction = sampler.nonzero_vector(dim, max_den=64)
+        try:
+            count = stabilized_count(alpha, base, c, direction, region, cc)
+        except (BoundaryCollisionError, DegeneracyError) as exc:
+            rejected.append({"seed": seed_used, "reason": str(exc)})
+            continue
+        return count, seed_used, c, direction, tuple(rejected)
+    raise NonConvergenceError(
+        "no seed produced a nondegenerate limit count", trace=tuple(rejected)
+    )
+
+
 def verify_theorem1(
     alpha: ConstructibleFunction,
     f: AffineFunction,
@@ -129,10 +170,10 @@ def verify_theorem1(
     LHS: integral of alpha over K minus the integral over the tube slice just
     below the zero level (the exact PL stand-in for the relative cohomology
     of the sublevel pair).  RHS: Morse count inside the tube of f plus a
-    seeded bump at the exact eta -> 0+ limit (morse.stabilized_count).
+    seeded bump at the exact eta -> 0+ limit, counted by _limit_count.
     Requires the met support to sit over the zero level; anything else is a
-    hypothesis violation, not a verdict.  Rejected seeds are logged; when all
-    8 fail, NonConvergenceError carries the log as its trace.
+    hypothesis violation, not a verdict.  Seeds are rejected, logged and
+    exhausted as _limit_count describes.
     """
     cx = alpha.complex
     hyp: list[dict] = []
@@ -197,30 +238,7 @@ def verify_theorem1(
     region_term = integral_over(alpha2, K2)
     slice_term = slice_integral(alpha2, spec.tube, f, -spec.epsilon)
     lhs = region_term - slice_term
-    # a sampled bump can be degenerate against the complex for every eta
-    # (its gradient at some vertex can pair to zero with a star direction
-    # independently of eta), so a degenerate bump rejects the seed, not the run
-    rejected: list[dict] = []
-    for attempt in range(8):
-        seed_used = seed + attempt
-        sampler = RationalSampler(seed_used)
-        # fine denominators: each flat star direction of the complex imposes
-        # one linear condition on (center, direction) that would make some
-        # pairing vanish at every eta, and large complexes carry hundreds of
-        # such conditions, so the sample grid must be much bigger than that
-        center = sampler.vector(cx.ambient_dim, max_den=64)
-        direction = sampler.nonzero_vector(cx.ambient_dim, max_den=64)
-        try:
-            rhs = stabilized_count(alpha2, f, center, direction, spec.tube)
-        except (BoundaryCollisionError, DegeneracyError) as exc:
-            rejected.append({"seed": seed_used, "reason": str(exc)})
-            continue
-        break
-    else:
-        raise NonConvergenceError(
-            "no seed produced a nondegenerate limit count in the tube",
-            trace=tuple(rejected),
-        )
+    rhs, seed_used, _, _, rejected = _limit_count(alpha2, f, spec.tube, seed)
     hyp.append(
         {
             "check": "eta-limit",
@@ -238,7 +256,7 @@ def verify_theorem1(
         "region_term": region_term,
         "slice_term": slice_term,
         "seed_used": seed_used,
-        "rejected": tuple(rejected),
+        "rejected": rejected,
     }
     return TheoremReport("theorem1", lhs, rhs, lhs == rhs, tuple(hyp), artifacts)
 
@@ -247,57 +265,38 @@ def global_index(
     alpha: ConstructibleFunction,
     seed: int = 0,
     cc: CharacteristicCycle | None = None,
-    attempts: int = 32,
 ) -> TheoremReport:
-    """Euler integral against the Morse count of a seeded convex function.
+    """Euler integral against the formula with f = 0, counted by the shared kernel.
 
-    The test function is |y - y0|^2 + zeta . y: strictly convex, so every
-    restricted Hessian is positive definite and only covector degeneracy can
-    reject a seed, in which case the next seed is tried and logged.
+    With base 0 the perturbed function is eta * (|y - y0|^2 + zeta . y), whose
+    critical points are those of one strictly convex function at every
+    eta > 0: every restricted Hessian is positive definite, the region has no
+    boundary, and only a star direction paired to zero by a critical gradient
+    can reject a seed (see _limit_count).
     """
     cx = alpha.complex
-    dim = cx.ambient_dim
     lhs = euler_integral(alpha)
-    if cc is None:
-        cc = CharacteristicCycle(alpha)
     hyp: list[dict] = [
         {"check": "compact-support", "status": "ok", "simplices": len(cx.simplices)}
     ]
-    rejected: list[dict] = []
-    for attempt in range(attempts):
-        sampler = RationalSampler(seed + attempt)
-        # fine denominators, for the same reason as in verify_theorem1:
-        # coarse grids collide with some star-direction condition on any
-        # moderately subdivided complex
-        y0 = sampler.vector(dim, max_den=64)
-        zeta = sampler.nonzero_vector(dim, max_den=64)
-        func = squared_distance_from(y0).add(QuadAffineFunction(zeta))
-        try:
-            rhs = stratified_morse_sum(alpha, func, None, cc)
-        except DegeneracyError as exc:
-            rejected.append({"seed": seed + attempt, "reason": str(exc)})
-            continue
-        hyp.append(
-            {
-                "check": "genericity",
-                "status": "ok",
-                "seed_used": seed + attempt,
-                "seeds_rejected": len(rejected),
-            }
-        )
-        artifacts = {
-            "seed_used": seed + attempt,
-            "center": y0,
-            "direction": zeta,
-            "rejected": tuple(rejected),
-        }
-        return TheoremReport(
-            "global-index", lhs, rhs, lhs == rhs, tuple(hyp), artifacts
-        )
-    raise NonConvergenceError(
-        "no seed produced nondegenerate covectors at every critical point",
-        trace=tuple(rejected),
+    rhs, seed_used, y0, zeta, rejected = _limit_count(
+        alpha, AffineFunction(Vec.zero(cx.ambient_dim)), None, seed, cc=cc
     )
+    hyp.append(
+        {
+            "check": "genericity",
+            "status": "ok",
+            "seed_used": seed_used,
+            "seeds_rejected": len(rejected),
+        }
+    )
+    artifacts = {
+        "seed_used": seed_used,
+        "center": y0,
+        "direction": zeta,
+        "rejected": rejected,
+    }
+    return TheoremReport("global-index", lhs, rhs, lhs == rhs, tuple(hyp), artifacts)
 
 
 def _restrict_function(
@@ -344,8 +343,8 @@ def local_index(alpha: ConstructibleFunction, v: int, seed: int = 0) -> TheoremR
     Cutting the complex down to the closed star of v keeps the work local and
     every multiplicity seen by the count exact: each stratum of the closed
     star of v', and each coface of one, lies in the subdivided closed star
-    of v.  Rejected seeds are logged; when all 6 fail, NonConvergenceError
-    carries the log as its trace.
+    of v.  Seeds are rejected, logged and exhausted as _limit_count
+    describes.
     """
     cx = alpha.complex
     vs = simplex([v])
@@ -360,26 +359,9 @@ def local_index(alpha: ConstructibleFunction, v: int, seed: int = 0) -> TheoremR
     v_sub = _image_vertex(step, vmap[v])
     tube = closed_star_of_simplex(step.complex, [v_sub])
     center = step.complex.vertices[v_sub]
-    distance = squared_distance_from(center)
-    # a sampled tilt can pair to zero with a star direction for every eta;
-    # such seeds are rejected and redrawn, as in the global count
-    rejected: list[dict] = []
-    for attempt in range(6):
-        seed_used = seed + 9973 * attempt
-        direction = RationalSampler(seed_used).nonzero_vector(
-            cx.ambient_dim, max_den=64
-        )
-        try:
-            rhs = stabilized_count(alpha_sub, distance, center, direction, tube)
-        except (BoundaryCollisionError, DegeneracyError) as exc:
-            rejected.append({"seed": seed_used, "reason": str(exc)})
-            continue
-        break
-    else:
-        raise NonConvergenceError(
-            "no seed produced a nondegenerate limit count in the star of the vertex",
-            trace=tuple(rejected),
-        )
+    rhs, seed_used, _, _, rejected = _limit_count(
+        alpha_sub, squared_distance_from(center), tube, seed, center=center
+    )
     hyp.append(
         {
             "check": "star-count",
@@ -389,7 +371,7 @@ def local_index(alpha: ConstructibleFunction, v: int, seed: int = 0) -> TheoremR
             "seeds_rejected": len(rejected),
         }
     )
-    artifacts = {"vertex": v, "seed_used": seed_used, "rejected": tuple(rejected)}
+    artifacts = {"vertex": v, "seed_used": seed_used, "rejected": rejected}
     return TheoremReport("local-index", lhs, rhs, lhs == rhs, tuple(hyp), artifacts)
 
 

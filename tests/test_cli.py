@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from eulercc import TheoremReport, cli
+from eulercc import BoundaryCollisionError, TheoremReport, cli
 
 
 @pytest.fixture()
@@ -223,6 +223,33 @@ def test_local_index_cli(sphere_dir, capsys) -> None:
     )
     assert rc == 0
     assert "lhs = 1" in capsys.readouterr().out
+
+
+def test_nonconvergence_prints_the_rejection_log(tmp_path, capsys, monkeypatch) -> None:
+    assert cli.main(["fixtures", "dump", "--name", "interval", "--dir", str(tmp_path)]) == 0
+
+    def collide(*args, **kwargs):
+        raise BoundaryCollisionError("critical point on the tube boundary")
+
+    monkeypatch.setattr("eulercc.intersect.stabilized_count", collide)
+    capsys.readouterr()
+    rc = cli.main(
+        [
+            "local-index",
+            "--complex",
+            str(tmp_path / "interval.complex.json"),
+            "--alpha",
+            str(tmp_path / "interval.alpha.one.json"),
+            "--vertex",
+            "0",
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    first, rest = err.split("\n", 1)
+    assert first.startswith("no stable answer:")
+    trace = json.loads(rest)["trace"]
+    assert [rec["seed"] for rec in trace] == list(range(8))
 
 
 def test_boundary_estimate_cli_both_sides(book_dir, capsys) -> None:

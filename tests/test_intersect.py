@@ -98,14 +98,26 @@ def test_identity_holds_where_a_coarse_eta_schedule_misreads(by_name) -> None:
     assert report.holds and report.lhs == report.rhs == -2
 
 
-def test_identity_exhausts_seeds_with_typed_error(by_name, monkeypatch) -> None:
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda fx: verify_theorem1(fx.functions["one"], fx.morse_inputs["x"]),
+        lambda fx: global_index(fx.functions["one"]),
+        lambda fx: local_index(fx.functions["one"], 0),
+    ],
+    ids=["theorem1", "global-index", "local-index"],
+)
+def test_index_verifiers_exhaust_seeds_with_typed_error(
+    by_name, monkeypatch, run
+) -> None:
+    """All three verifiers count through one kernel with one seed policy."""
+
     def collide(*args, **kwargs):
         raise BoundaryCollisionError("critical point on the tube boundary")
 
     monkeypatch.setattr("eulercc.intersect.stabilized_count", collide)
-    fx = by_name["interval"]
     with pytest.raises(NonConvergenceError) as exc:
-        verify_theorem1(fx.functions["one"], fx.morse_inputs["x"])
+        run(by_name["interval"])
     trace = exc.value.trace
     assert [rec["seed"] for rec in trace] == list(range(8))
     assert all(rec["reason"] == "critical point on the tube boundary" for rec in trace)
@@ -174,18 +186,6 @@ def test_local_index_at_branch_point(by_name) -> None:
 def test_local_index_rejects_non_vertex(by_name) -> None:
     with pytest.raises(InputError):
         local_index(by_name["interval"].functions["one"], 99)
-
-
-def test_local_index_exhausts_seeds_with_typed_error(by_name, monkeypatch) -> None:
-    def collide(*args, **kwargs):
-        raise BoundaryCollisionError("critical point on the tube boundary")
-
-    monkeypatch.setattr("eulercc.intersect.stabilized_count", collide)
-    with pytest.raises(NonConvergenceError) as exc:
-        local_index(by_name["interval"].functions["one"], 0, seed=0)
-    trace = exc.value.trace
-    assert [rec["seed"] for rec in trace] == [9973 * k for k in range(6)]
-    assert all(rec["reason"] == "critical point on the tube boundary" for rec in trace)
 
 
 def test_boundary_estimate_frozen_on_elbow(by_name) -> None:

@@ -32,7 +32,7 @@ def paired(monkeypatch) -> list[tuple]:
     exact_count = intersect.stabilized_count
     pairs: list[tuple] = []
 
-    def both(alpha, base_f, center, direction, tube=None):
+    def both(alpha, base_f, center, direction, tube=None, cc=None):
         schedule = schedule_oracle.PerturbationSchedule.from_seed(
             0, alpha.complex.ambient_dim, center=center, direction=direction
         )
@@ -41,7 +41,7 @@ def paired(monkeypatch) -> list[tuple]:
         except (BoundaryCollisionError, NonConvergenceError):
             oracle = REJECTED
         try:
-            exact = exact_count(alpha, base_f, center, direction, tube)
+            exact = exact_count(alpha, base_f, center, direction, tube, cc)
         except (BoundaryCollisionError, DegeneracyError):
             pairs.append((REJECTED, oracle))
             raise
