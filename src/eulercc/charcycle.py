@@ -14,8 +14,10 @@ of the star of S (see constructible.halflink_integral), and the formula is
 the PL local index formula for characteristic cycles (Kashiwara-Schapira,
 Sheaves on Manifolds, Ch. IX; Schapira, "Operations on constructible
 functions", JPAA 1991).  tests/test_halflink_oracle.py checks it against the
-exact normal-slice geometry.  Nothing is materialized: theorem checks only
-ever query finitely many covectors.
+exact normal-slice geometry.  Nothing is materialized up front: a
+CharacteristicCycle fills one (chamber, multiplicity) table per stratum the
+first time a support query reaches it, and theorem checks only ever query
+finitely many covectors.
 """
 
 from __future__ import annotations
@@ -91,10 +93,19 @@ def enumerate_chambers(cx: EmbeddedComplex, S) -> list[ConormalChamber]:
     """All realizable strict sign vectors over S, each with an interior witness.
 
     Incremental construction over the star-vertex hyperplane arrangement in
-    the conormal subspace: every chamber of the first i hyperplanes is
-    extended by the sign it already realizes for free, and by the opposite
-    sign through one exact feasibility call.  The chambers are stored in the
-    complex's star geometry of S.
+    the conormal subspace.  Star vertices whose functionals xi -> xi . (p - b)
+    are parallel cut one hyperplane, so the extension runs over one
+    representative of each parallel class: every chamber of the first i
+    distinct hyperplanes is extended by the sign it already realizes for
+    free, and by the opposite sign through one exact feasibility call.  Each
+    star vertex then reads its sign off its representative's, times the sign
+    of the ratio of the two functionals.  The witnesses are those of the
+    extension over every star vertex (tests/chamber_oracle.py): there a
+    parallel vertex always takes its free sign and its opposite sign is
+    infeasible, and Fourier-Motzkin divides each constraint by the absolute
+    value of its lead coefficient and drops repeats, so every system it
+    solves reduces to the same constraints in the same order.  The chambers
+    are stored in the complex's star geometry of S.
     """
     if not isinstance(S, StratumRef):
         S = cx.stratum(S)
@@ -106,9 +117,20 @@ def enumerate_chambers(cx: EmbeddedComplex, S) -> list[ConormalChamber]:
         return list(star.chambers)
     basis = conormal_basis(cx, S)
     w = len(basis)
-    functionals = [Vec(tuple(e.dot(d) for e in basis)) for d in star.directions]
+    distinct: list[Vec] = []
+    leads: dict[tuple[Fraction, ...], tuple[int, Fraction]] = {}
+    classes: list[tuple[int, int]] = []  # (index into distinct, sign of ratio)
+    for d in star.directions:
+        func = Vec(tuple(e.dot(d) for e in basis))
+        lead = next(x for x in func if x != 0)
+        key = tuple(x / lead for x in func)
+        if key not in leads:
+            leads[key] = (len(distinct), lead)
+            distinct.append(func)
+        k, rep_lead = leads[key]
+        classes.append((k, 1 if (lead > 0) == (rep_lead > 0) else -1))
     partial: list[tuple[list[int], Vec]] = [([], Vec.zero(w))]
-    for i, func in enumerate(functionals):
+    for func in distinct:
         grown: list[tuple[list[int], Vec]] = []
         for signs, wit_t in partial:
             at_wit = func.dot(wit_t)
@@ -117,7 +139,7 @@ def enumerate_chambers(cx: EmbeddedComplex, S) -> list[ConormalChamber]:
                     grown.append((signs + [cand], wit_t))
                     continue
                 stricts = [
-                    (functionals[j].scale(s), Fraction(0))
+                    (distinct[j].scale(s), Fraction(0))
                     for j, s in enumerate(signs)
                 ] + [(func.scale(cand), Fraction(0))]
                 res = strict_feasibility([], stricts, [], w)
@@ -129,9 +151,8 @@ def enumerate_chambers(cx: EmbeddedComplex, S) -> list[ConormalChamber]:
         xi = Vec.zero(cx.ambient_dim)
         for coeff, e in zip(wit_t, basis):
             xi = xi + e.scale(coeff)
-        chambers.append(
-            ConormalChamber(S, tuple(zip(star.vertex_ids, signs)), xi)
-        )
+        sv = tuple((p, signs[k] * r) for p, (k, r) in zip(star.vertex_ids, classes))
+        chambers.append(ConormalChamber(S, sv, xi))
     chambers.sort(key=lambda c: c.sign_vector)
     star.chambers = tuple(chambers)
     return chambers
@@ -186,14 +207,18 @@ class CharacteristicCycle:
     """Lazy multiplicity accessor for CC(alpha).
 
     Multiplicities are constant on chambers, so they are memoized per
-    (stratum, sign vector); the memo is write-once with identical values and
-    is safe under concurrent insertion.
+    (stratum, sign vector).  Support queries read a per-stratum table of
+    (chamber, multiplicity) pairs, filled once through that memo from the
+    chambers stored in the complex's star geometry; a cycle and its dual share
+    those chambers but not their tables.  Both memos are write-once with
+    identical values and are safe under concurrent insertion.
     """
 
     def __init__(self, alpha: ConstructibleFunction):
         self.alpha = alpha
         self.complex = alpha.complex
         self._memo: dict[tuple[Simplex, SignVector], int] = {}
+        self._tables: dict[Simplex, tuple[tuple[ConormalChamber, int], ...]] = {}
 
     def multiplicity(self, S, xi: Vec) -> int:
         cx = self.complex
@@ -211,7 +236,16 @@ class CharacteristicCycle:
         return enumerate_chambers(self.complex, s)
 
     def chamber_multiplicities(self, s) -> list[tuple[ConormalChamber, int]]:
-        return [(c, self.multiplicity(c.stratum, c.witness)) for c in self.chambers(s)]
+        """Every chamber over s with its multiplicity, read from the table of s."""
+        if not isinstance(s, StratumRef):
+            s = self.complex.stratum(s)
+        table = self._tables.get(s.simplex)
+        if table is None:
+            table = tuple(
+                (c, self.multiplicity(s, c.witness)) for c in self.chambers(s)
+            )
+            self._tables[s.simplex] = table
+        return list(table)
 
     def nonzero_chambers(self, s) -> list[tuple[ConormalChamber, int]]:
         return [(c, m) for c, m in self.chamber_multiplicities(s) if m != 0]

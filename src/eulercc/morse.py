@@ -212,6 +212,8 @@ def _limit_gradient(
     gram = [Vec(tuple(D[i].dot(D[j]) for j in range(d))) for i in range(d)]
     w0, w1 = (
         solve_affine([(gram[i], D[i].dot(r)) for i in range(d)], d).point
+        if not r.is_zero()
+        else Vec.zero(d)  # G is positive definite, so G w = 0 forces w = 0
         for r in (r0, r1)
     )
     slack = (2 * a - sum(w0), 2 - sum(w1))

@@ -180,3 +180,65 @@ def test_dual_flips_chamber_multiplicities_antipodally(by_name) -> None:
                         alpha, s, ch.witness.scale(-1)
                     )
                     assert lhs == rhs, (name, sorted(s))
+
+
+def test_chamber_table_is_filled_once_per_stratum(by_name, monkeypatch) -> None:
+    import eulercc.charcycle as charcycle
+
+    calls = {"multiplicity_at": 0, "strict_sign_vector": 0}
+
+    def counting(name):
+        inner = getattr(charcycle, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(charcycle, name, counting(name))
+    fx = by_name["book"]
+    cc = CharacteristicCycle(fx.functions["random0"])
+    spine = simplex([0, 1])
+    first = cc.chamber_multiplicities(spine)
+    assert calls == {"multiplicity_at": len(first), "strict_sign_vector": len(first)}
+    assert cc.chamber_multiplicities(spine) == first
+    assert cc.nonzero_chambers(spine) == [(c, m) for c, m in first if m != 0]
+    assert calls == {"multiplicity_at": len(first), "strict_sign_vector": len(first)}
+
+
+def test_chamber_table_survives_caller_mutation(by_name) -> None:
+    fx = by_name["book"]
+    cc = CharacteristicCycle(fx.functions["one"])
+    spine = simplex([0, 1])
+    first = cc.chamber_multiplicities(spine)
+    expect = list(first)
+    first.clear()
+    cc.nonzero_chambers(spine).append("junk")
+    assert cc.chamber_multiplicities(spine) == expect
+    table = {tuple(sorted(c.sign_vector)): m for c, m in expect}
+    assert table == BOOK_SPINE_TABLE
+
+
+def test_dual_cycles_share_chambers_but_not_multiplicities(by_name) -> None:
+    """Both cycles read the chambers stored in the complex's star geometry, and
+    each keeps its own values: m_{D alpha}(S, xi) = (-1)^{dim S} m_alpha(S, -xi)."""
+    for name in ("circle", "book", "ygraph"):
+        fx = by_name[name]
+        cx = fx.complex
+        for alpha in fx.functions.values():
+            cc, ccd = CharacteristicCycle(alpha), CharacteristicCycle(dual(alpha))
+            for s in cx.simplices:
+                k = len(s) - 1
+                pairs = cc.chamber_multiplicities(s)
+                dual_pairs = ccd.chamber_multiplicities(s)
+                stored = cx.star_geometry(cx.stratum(s)).chambers
+                assert len(pairs) == len(dual_pairs) == len(stored)
+                for (c, _), (cd, _), c_stored in zip(pairs, dual_pairs, stored):
+                    assert c is cd is c_stored
+                for (c, m), (_, md) in zip(pairs, dual_pairs):
+                    assert m == multiplicity_at(alpha, s, c.witness), (name, sorted(s))
+                    assert md == (-1) ** k * multiplicity_at(
+                        alpha, s, c.witness.scale(-1)
+                    ), (name, sorted(s))
