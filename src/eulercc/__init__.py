@@ -32,19 +32,17 @@ from .complexes import (
 )
 from .constructible import (
     ConstructibleFunction,
-    TubeSpec,
-    build_tube_spec,
     constant_function,
     dual,
     euler_integral,
     from_values,
     halflink_integral,
     indicator,
-    integral_over,
     jshriek_extend,
     jstar_extend,
     slice_integral,
     transport,
+    vanishing_cycle,
 )
 from .errors import (
     BoundaryCollisionError,
@@ -99,7 +97,6 @@ __all__ = [
     "SymMatrix",
     "TheoremReport",
     "TransversalityError",
-    "TubeSpec",
     "UnstableLevelError",
     "Vec",
     "antipodal_support_check",
@@ -108,7 +105,6 @@ __all__ = [
     "betti_numbers",
     "betti_oracle",
     "boundary_estimate_check",
-    "build_tube_spec",
     "builtin_fixtures",
     "carrier",
     "chamber_witnesses",
@@ -127,7 +123,6 @@ __all__ = [
     "halflink_integral",
     "indicator",
     "induced_complex",
-    "integral_over",
     "is_nondegenerate",
     "jshriek_extend",
     "jstar_extend",
@@ -145,5 +140,6 @@ __all__ = [
     "support_contains",
     "transport",
     "validate",
+    "vanishing_cycle",
     "verify_theorem1",
 ]

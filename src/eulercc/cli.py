@@ -18,7 +18,6 @@ from .charcycle import CharacteristicCycle
 from .complexes import EmbeddedComplex, validate
 from .constructible import dual, euler_integral
 from .errors import (
-    BoundaryCollisionError,
     DegeneracyError,
     HypothesisViolationError,
     InputError,
@@ -338,11 +337,10 @@ def main(argv=None) -> int:
         if witness is not None:
             sys.stderr.write(dumps({"witness": witness}))
         return 2
-    except (BoundaryCollisionError, NonConvergenceError) as exc:
+    except NonConvergenceError as exc:
         print(f"no stable answer: {exc}", file=sys.stderr)
-        trace = getattr(exc, "trace", None)
-        if trace is not None:
-            sys.stderr.write(dumps({"trace": trace}))
+        if exc.trace is not None:
+            sys.stderr.write(dumps({"trace": exc.trace}))
         return 2
 
 

@@ -9,7 +9,6 @@ reduces to counting relatively open convex pieces with chi_c = (-1)^dim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .complexes import (
@@ -17,7 +16,6 @@ from .complexes import (
     Simplex,
     StratumRef,
     as_region,
-    closed_star,
     simplex,
     slice_pieces,
     sort_key,
@@ -119,12 +117,6 @@ def euler_integral(alpha: ConstructibleFunction, region=None) -> int:
     )
 
 
-def integral_over(alpha: ConstructibleFunction, region) -> int:
-    """Integral of 1_region * alpha over a compact (closed) subcomplex."""
-    reg = as_region(alpha.complex, region)
-    return euler_integral(alpha, reg)
-
-
 def slice_integral(
     alpha: ConstructibleFunction,
     region,
@@ -218,12 +210,49 @@ def halflink_integral(alpha: ConstructibleFunction, S, xi: Vec) -> int:
         S = cx.stratum(S)
     _require_conormal(cx, S, xi)
     below = {p for p, sign in star_signs(cx, S, xi) if sign < 0}
+    return _lower_link_sum(alpha, S.simplex, below)
+
+
+def _lower_link_sum(alpha: ConstructibleFunction, s: Simplex, below) -> int:
+    """Sum of (-1)^dim(tau - s) * alpha(tau) over the strict cofaces tau of s
+    whose added vertices all lie in below."""
     total = 0
-    for tau in cx.strict_cofaces(S.simplex):
-        added = tau - S.simplex
+    for tau in alpha.complex.strict_cofaces(s):
+        added = tau - s
         if added <= below:
             total += alpha.value(tau) * sign_of_dim(len(added) - 1)
     return total
+
+
+def vanishing_cycle(alpha: ConstructibleFunction, f: AffineFunction) -> ConstructibleFunction:
+    """phi_f(alpha): alpha minus its nearby cycle on the zero level of f.
+
+    On each stratum S on which f vanishes identically,
+
+        phi(S) = alpha(S) - sum of (-1)^dim(tau - S) * alpha(tau)
+
+    over the strict cofaces tau of S whose added vertices all have f < 0; a
+    vertex with f = 0 is not below.  The sum is the integral of alpha over
+    the Milnor fibre {f = -eps} in a small ball around a point of S, by the
+    lower-link argument of halflink_integral read with xi = df: an open link
+    face with an added vertex at f = 0 meets {f <= -eps} in an open simplex
+    cut by a closed half-space, with chi_c = 0.  Elsewhere phi is 0.  By the
+    Dubson-Le-Ginsburg-Sabbah formula (Ginsburg, "Characteristic varieties
+    and vanishing cycles", Invent. Math. 1986) phi vanishes off the strata
+    where CC(alpha) meets the graph of df.
+    """
+    cx = alpha.complex
+    if f.dim != cx.ambient_dim:
+        raise InputError("level function dimension does not match the complex")
+    height = [cx.vertex_value(f, i) for i in range(len(cx.vertices))]
+    level = {i for i, h in enumerate(height) if h == 0}
+    below = {i for i, h in enumerate(height) if h < 0}
+    values = {
+        s: alpha.value(s) - _lower_link_sum(alpha, s, below)
+        for s in cx.simplices
+        if s <= level
+    }
+    return ConstructibleFunction(cx, values)
 
 
 # -- duality and open-side extensions -----------------------------------
@@ -300,41 +329,3 @@ def transport(alpha: ConstructibleFunction, sub: SubdivisionResult) -> Construct
     value of the old open simplex containing it."""
     values = {s: alpha.value(old) for s, old in sub.ancestry.items()}
     return ConstructibleFunction(sub.complex, values)
-
-
-# -- tubes --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TubeSpec:
-    """A regular-neighborhood tube around a level-zero core.
-
-    The closed star of the (full) core plays the role of a small closed
-    neighborhood; epsilon is any positive rational below every nonzero |f| on
-    tube vertices, so the level {f = -eps} is combinatorially stable.
-    """
-
-    base: frozenset[Simplex]
-    tube: frozenset[Simplex]
-    epsilon: Fraction
-    level_function: AffineFunction
-
-
-def build_tube_spec(
-    cx: EmbeddedComplex, base, f: AffineFunction
-) -> TubeSpec:
-    base_reg = as_region(cx, base)
-    for s in base_reg:
-        for v in s:
-            if cx.vertex_value(f, v) != 0:
-                raise InputError(
-                    f"tube core vertex {v} has nonzero level value {cx.vertex_value(f, v)}"
-                )
-    tube = closed_star(cx, base_reg)
-    best: Fraction | None = None
-    for v in {v for s in tube for v in s}:
-        val = abs(cx.vertex_value(f, v))
-        if val != 0 and (best is None or val < best):
-            best = val
-    eps = Fraction(1) if best is None else best / 2
-    return TubeSpec(frozenset(base_reg), frozenset(tube), eps, f)

@@ -9,6 +9,7 @@ provenance strings; anything nontrivial names the oracle that rechecks it.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -561,3 +562,22 @@ def random_fixture(seed: int, ambient_dim: int = 2, size_budget: int = 150) -> F
         (),
         _std_subcomplexes(small),
     )
+
+
+def vertex_pair_lines(cx: EmbeddedComplex, seed: int, count: int) -> list[AffineFunction]:
+    """Level functions of lines through pairs of vertices of a plane complex.
+
+    Each pair (p, q) is drawn by random.Random(seed); the function is
+    (q - p) rotated a quarter turn, paired with y - p.  Such a line holds an
+    edge whenever p and q span one, which gives theorem 1 strata on which f
+    is flat.
+    """
+    if cx.ambient_dim != 2:
+        raise InputError("lines through vertex pairs need a plane complex")
+    rng = random.Random(seed)
+    out: list[AffineFunction] = []
+    for _ in range(count):
+        p, q = (cx.vertices[i] for i in rng.sample(range(len(cx.vertices)), 2))
+        normal = Vec((p[1] - q[1], q[0] - p[0]))
+        out.append(AffineFunction(normal, -normal.dot(p)))
+    return out

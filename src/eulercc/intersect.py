@@ -3,7 +3,9 @@
 Each verifier returns a TheoremReport carrying both integers, the hypothesis
 checks that were actually performed (with witnesses), and enough artifacts to
 replay the computation.  Violated hypotheses raise; they are never folded
-into a boolean.
+into a boolean.  verify_theorem1, global_index and local_index count on the
+complex they are given, through one seeded eta -> 0+ kernel (_limit_count);
+only boundary_estimate_check subdivides, along its cut level.
 """
 
 from __future__ import annotations
@@ -19,31 +21,25 @@ from .charcycle import (
     weak_sign_vector,
 )
 from .complexes import (
-    EmbeddedComplex,
     Simplex,
     StratumRef,
     Subcomplex,
     close_under_faces,
-    closed_star,
-    closed_star_of_simplex,
-    induced_complex,
+    open_star_of_simplex,
     simplex,
     sort_key,
 )
 from .constructible import (
     ConstructibleFunction,
-    build_tube_spec,
     euler_integral,
-    integral_over,
     is_conormal,
     jshriek_extend,
     jstar_extend,
     side_partition,
-    slice_integral,
     transport,
+    vanishing_cycle,
 )
 from .errors import (
-    BoundaryCollisionError,
     DegeneracyError,
     HypothesisViolationError,
     InputError,
@@ -53,7 +49,7 @@ from .errors import (
 from .functions import AffineFunction, squared_distance_from
 from .linalg import Vec, rat
 from .morse import RationalSampler, stabilized_count
-from .subdivision import barycentric_subdivide, subdivide_along_hyperplane
+from .subdivision import subdivide_along_hyperplane
 
 SEED_ATTEMPTS = 8
 
@@ -129,15 +125,15 @@ def _limit_count(
     center: Vec | None = None,
     cc: CharacteristicCycle | None = None,
 ) -> tuple[int, int, Vec, Vec, tuple[dict, ...]]:
-    """Seeded eta -> 0+ Morse count of base + eta * bump in the region.
+    """Seeded eta -> 0+ Morse count of base + eta * bump on the region's strata.
 
     The bump is |y - center|^2 + direction . y (morse.stabilized_count); the
     center is drawn from the seed unless given.  A draw whose gradient pairs
-    to zero with a star direction at every eta, or that counts a point on
-    the region's boundary, rejects its seed, not the run: seeds seed,
-    seed + 1, ... are tried in turn, each rejection is logged as {"seed",
-    "reason"}, and when all SEED_ATTEMPTS fail NonConvergenceError carries
-    the log as its trace.  Returns (count, seed used, center, direction, log).
+    to zero with a star direction at every eta rejects its seed, not the
+    run: seeds seed, seed + 1, ... are tried in turn, each rejection is
+    logged as {"seed", "reason"}, and when all SEED_ATTEMPTS fail
+    NonConvergenceError carries the log as its trace.  Returns (count, seed
+    used, center, direction, log).
     """
     dim = alpha.complex.ambient_dim
     rejected: list[dict] = []
@@ -151,7 +147,7 @@ def _limit_count(
         direction = sampler.nonzero_vector(dim, max_den=64)
         try:
             count = stabilized_count(alpha, base, c, direction, region, cc)
-        except (BoundaryCollisionError, DegeneracyError) as exc:
+        except DegeneracyError as exc:
             rejected.append({"seed": seed_used, "reason": str(exc)})
             continue
         return count, seed_used, c, direction, tuple(rejected)
@@ -165,19 +161,22 @@ def verify_theorem1(
     f: AffineFunction,
     seed: int = 0,
 ) -> TheoremReport:
-    """Intersection count against the relative Euler characteristic over K.
+    """Intersection count against the vanishing cycles of alpha over K.
 
-    LHS: integral of alpha over K minus the integral over the tube slice just
-    below the zero level (the exact PL stand-in for the relative cohomology
-    of the sublevel pair).  RHS: Morse count inside the tube of f plus a
-    seeded bump at the exact eta -> 0+ limit, counted by _limit_count.
-    Requires the met support to sit over the zero level; anything else is a
-    hypothesis violation, not a verdict.  Seeds are rejected, logged and
-    exhausted as _limit_count describes.
+    LHS: the integral over K of phi_f(alpha), the vanishing-cycle function
+    of constructible.vanishing_cycle.  RHS: the Morse count on the strata of
+    K of f plus a seeded bump at the exact eta -> 0+ limit, counted by
+    _limit_count on the complex as given.  Both sides read one stratum and
+    its star at a time, so neither needs a subdivision or a tube around K.
+    Requires the met support to sit over the zero level, and phi to vanish
+    on the zero-level strata outside K (as the Dubson-Le-Ginsburg-Sabbah
+    formula says it must); anything else is a hypothesis violation, not a
+    verdict.  Seeds are rejected, logged and exhausted as _limit_count
+    describes.
     """
-    cx = alpha.complex
     hyp: list[dict] = []
-    entries, K = compute_intersection_locus(alpha, f)
+    cc = CharacteristicCycle(alpha)
+    entries, K = compute_intersection_locus(alpha, f, cc)
     on_level = sum(1 for e in entries if e.on_level)
     hyp.append(
         {
@@ -190,12 +189,7 @@ def verify_theorem1(
     if not entries:
         hyp.append({"check": "empty-intersection", "status": "ok"})
         return TheoremReport(
-            "theorem1",
-            0,
-            0,
-            True,
-            tuple(hyp),
-            {"locus": (), "K": (), "tube": (), "epsilon": None},
+            "theorem1", 0, 0, True, tuple(hyp), {"locus": (), "K": ()}
         )
     if not K:
         raise HypothesisViolationError(
@@ -210,35 +204,23 @@ def verify_theorem1(
         )
     hyp.append({"check": "zero-level-support", "status": "ok", "K_size": len(K)})
 
-    sub = barycentric_subdivide(cx, 1)
-    cx2 = sub.complex
-    alpha2 = transport(alpha, sub)
-    K2 = sub.transport_region(K)
-    spec = build_tube_spec(cx2, K2, f)
-
-    off_level = [e.simplex for e in entries if not e.on_level]
-    meets = []
-    for s_off in off_level:
-        faces_off = close_under_faces({s_off})
-        if any(sub.ancestry[t] in faces_off for t in spec.tube):
-            meets.append(tuple(sorted(s_off)))
-    if meets:
-        raise HypothesisViolationError(
-            "off-level support reaches the localization tube",
-            witness={"strata": meets},
-        )
+    phi = vanishing_cycle(alpha, f)
+    for s in phi.support():
+        if s not in K:
+            raise HypothesisViolationError(
+                "vanishing cycles are nonzero on a zero-level stratum outside K",
+                witness={"stratum": tuple(sorted(s)), "phi": phi.value(s)},
+            )
     hyp.append(
         {
-            "check": "tube-separation",
+            "check": "vanishing-cycle-support",
             "status": "ok",
-            "off_level_strata": len(off_level),
+            "phi_support": len(phi.values),
         }
     )
 
-    region_term = integral_over(alpha2, K2)
-    slice_term = slice_integral(alpha2, spec.tube, f, -spec.epsilon)
-    lhs = region_term - slice_term
-    rhs, seed_used, _, _, rejected = _limit_count(alpha2, f, spec.tube, seed)
+    lhs = euler_integral(phi, K)
+    rhs, seed_used, _, _, rejected = _limit_count(alpha, f, K, seed, cc=cc)
     hyp.append(
         {
             "check": "eta-limit",
@@ -251,10 +233,6 @@ def verify_theorem1(
     artifacts = {
         "locus": entries,
         "K": tuple(sorted((tuple(sorted(s)) for s in K))),
-        "tube_size": len(spec.tube),
-        "epsilon": spec.epsilon,
-        "region_term": region_term,
-        "slice_term": slice_term,
         "seed_used": seed_used,
         "rejected": rejected,
     }
@@ -299,52 +277,24 @@ def global_index(
     return TheoremReport("global-index", lhs, rhs, lhs == rhs, tuple(hyp), artifacts)
 
 
-def _restrict_function(
-    alpha: ConstructibleFunction, small: EmbeddedComplex, vmap: dict[int, int]
-) -> ConstructibleFunction:
-    inv = {new: old for old, new in vmap.items()}
-    values: dict[Simplex, int] = {}
-    for s in small.simplices:
-        val = alpha.value(frozenset(inv[i] for i in s))
-        if val:
-            values[s] = val
-    return ConstructibleFunction(small, values)
-
-
-def _image_vertex(step, vid: int) -> int:
-    for s in step.complex.simplices:
-        if len(s) == 1 and step.ancestry[s] == frozenset({vid}):
-            return next(iter(s))
-    raise InputError(f"vertex {vid} has no image in the subdivision")
-
-
 def local_index(alpha: ConstructibleFunction, v: int, seed: int = 0) -> TheoremReport:
-    """Stalk value at a vertex against the Morse count in its star.
+    """Stalk value at a vertex against the Morse count in its open star.
 
     The paper's formula at a point reads alpha(v) as the count of critical
     points of |y - v|^2, weighted by CC(alpha), in a small conic neighbourhood
-    of v.  Here that neighbourhood is the closed star of v' (the image of v)
-    after one barycentric subdivision of the closed star of v, and the count
-    is the Morse count of |y - v|^2 plus a seeded tilt in it, at the exact
-    limit of a vanishing tilt (morse.stabilized_count).
+    of v.  Here the count is the Morse count of |y - v|^2 plus a seeded tilt
+    around v, at the exact limit of a vanishing tilt (morse.stabilized_count),
+    on the open star of v: v and its strict cofaces, in the complex as given.
 
-    One subdivision is enough.  The closed star of v' lies in the open star
-    of v, and it is a cone v' * link: on each open simplex of the cone other
-    than v' the gradient 2(y - v) lies in the simplex's own direction space,
-    so it is never conormal there, and only v' and the link strata can be
-    critical.  A further subdivision triangulates the same cone more finely
-    and meets the conormal directions in the same strata.  This is the conic
-    structure of a PL star (Rourke-Sanderson, Introduction to
-    Piecewise-Linear Topology, 1972) and the local Morse data of
-    Goresky-MacPherson, Stratified Morse Theory (1988).
-    tests/test_local_index_oracle.py checks this count against refining
-    until two consecutive levels agree.
-
-    Cutting the complex down to the closed star of v keeps the work local and
-    every multiplicity seen by the count exact: each stratum of the closed
-    star of v', and each coface of one, lies in the subdivided closed star
-    of v.  Seeds are rejected, logged and exhausted as _limit_count
-    describes.
+    No subdivision and no cut are needed.  The open star of v is a cone with
+    apex v (Rourke-Sanderson, Introduction to Piecewise-Linear Topology,
+    1972): on each open simplex tau of it other than v, v lies in the affine
+    hull, so the critical point of |y - v|^2 plus the tilt on that hull sits
+    within O(eta) of v and the limit reads only the germ of tau at v.  The
+    strata off the open star do not meet a small ball around v.  This is the local Morse data of Goresky-MacPherson, Stratified Morse
+    Theory (1988).  tests/test_local_index_oracle.py checks this count
+    against refining until two consecutive levels agree.  Seeds are
+    rejected, logged and exhausted as _limit_count describes.
     """
     cx = alpha.complex
     vs = simplex([v])
@@ -353,20 +303,18 @@ def local_index(alpha: ConstructibleFunction, v: int, seed: int = 0) -> TheoremR
     lhs = alpha.value(vs)
     hyp: list[dict] = [{"check": "vertex", "status": "ok", "vertex": v}]
 
-    small, vmap = induced_complex(cx, closed_star(cx, [vs]))
-    step = barycentric_subdivide(small, 1)
-    alpha_sub = transport(_restrict_function(alpha, small, vmap), step)
-    v_sub = _image_vertex(step, vmap[v])
-    tube = closed_star_of_simplex(step.complex, [v_sub])
-    center = step.complex.vertices[v_sub]
+    center = cx.vertices[v]
     rhs, seed_used, _, _, rejected = _limit_count(
-        alpha_sub, squared_distance_from(center), tube, seed, center=center
+        alpha,
+        squared_distance_from(center),
+        open_star_of_simplex(cx, vs),
+        seed,
+        center=center,
     )
     hyp.append(
         {
             "check": "star-count",
             "status": "ok",
-            "levels_used": 1,
             "seed_used": seed_used,
             "seeds_rejected": len(rejected),
         }

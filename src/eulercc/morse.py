@@ -7,7 +7,10 @@ verifiers is taken at the exact limit eta -> 0+ of base + eta * bump: each
 sign it needs is a sign of x0 + eta*x1, read off lexicographically, which
 is symbolic perturbation in the sense of Edelsbrunner-Mucke ("Simulation of
 Simplicity", ACM TOG 1990) and Yap ("Symbolic treatment of geometric
-degeneracies", JSC 1990).  No eta is ever sampled.
+degeneracies", JSC 1990).  No eta is ever sampled.  The count runs over the
+strata it is given, on the complex it is given: no tube is cut around them
+and no boundary is guarded, because each stratum's limit critical point and
+limit covector depend on that stratum and its star alone.
 """
 
 from __future__ import annotations
@@ -17,14 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charcycle import CharacteristicCycle
-from .complexes import EmbeddedComplex, Simplex, StratumRef, as_region, sort_key
+from .complexes import EmbeddedComplex, StratumRef, as_region, simplex, sort_key
 from .constructible import ConstructibleFunction
-from .errors import (
-    BoundaryCollisionError,
-    DegeneracyError,
-    DegenerateFunctionError,
-    InputError,
-)
+from .errors import DegeneracyError, DegenerateFunctionError, InputError
 from .functions import AffineFunction, QuadAffineFunction
 from .linalg import Inertia, SymMatrix, Vec, inertia, solve_affine, strict_feasibility
 
@@ -164,14 +162,6 @@ class RationalSampler:
                 return v
 
 
-def tube_boundary(cx: EmbeddedComplex, region) -> frozenset[Simplex]:
-    """Simplices of a closed region having a strict coface outside it."""
-    region = as_region(cx, region)
-    return frozenset(
-        s for s in region if any(c not in region for c in cx.strict_cofaces(s))
-    )
-
-
 def _lex_sign(x0: Fraction, x1: Fraction) -> int:
     """Sign of x0 + eta*x1 for all small eta > 0: that of the first nonzero one."""
     x = x0 if x0 != 0 else x1
@@ -252,12 +242,14 @@ def stabilized_count(
     base_f,
     center: Vec,
     direction: Vec,
-    tube=None,
+    region=None,
     cc: CharacteristicCycle | None = None,
 ) -> int:
-    """Morse count in the tube of base + eta*bump at the exact limit eta -> 0+.
+    """Morse count on the region's strata of base + eta*bump at the limit eta -> 0+.
 
-    The bump is |y - center|^2 + direction . y, and the base must be affine,
+    The region is any set of strata of the complex (None: all of them); a
+    stratum that is not a simplex of the complex raises InputError.  The
+    bump is |y - center|^2 + direction . y, and the base must be affine,
     or a|y|^2 plus affine with a >= 0 (else InputError).  Then every
     quantity the count reads off a stratum is a sign of some x0 + eta*x1: the
     interiority of the critical point and each star pairing of its gradient
@@ -269,8 +261,7 @@ def stabilized_count(
     1990).  The restricted Hessian (2a + 2 eta) G is positive definite, so
     every Morse sign is +1 and the count is the sum of the limit chamber
     multiplicities.  A star pairing that vanishes identically in eta raises
-    DegeneracyError with the stratum and star vertex; a nonzero multiplicity
-    on the tube boundary raises BoundaryCollisionError.
+    DegeneracyError with the stratum and star vertex.
     tests/test_schedule_oracle.py checks it against a decreasing eta schedule.
     """
     cx = alpha.complex
@@ -278,23 +269,22 @@ def stabilized_count(
     if base_q.dim != cx.ambient_dim:
         raise InputError("function dimension does not match the complex")
     a = _quadratic_weight(base_q)
-    region = as_region(cx, tube)
-    boundary = tube_boundary(cx, region)
+    if region is None:
+        strata = cx.simplices
+    else:
+        strata = frozenset(simplex(s) for s in region)
+        outside = sorted(sorted(s) for s in strata - cx.simplices)
+        if outside:
+            raise InputError(f"region strata are not simplices of the complex: {outside}")
     if cc is None:
         cc = CharacteristicCycle(alpha)
     u0 = base_q.linear.scale(-1)
     u1 = center.scale(2) - direction
     total = 0
-    for s in sorted(region, key=sort_key):
+    for s in sorted(strata, key=sort_key):
         S = cx.stratum(s)
         limit = _limit_gradient(cx, S, a, u0, u1)
         if limit is None:
             continue
-        m = cc.multiplicity(S, _limit_covector(cx, S, *limit))
-        if m != 0 and s in boundary:
-            raise BoundaryCollisionError(
-                f"limit critical point with multiplicity {m} on tube boundary "
-                f"stratum {sorted(s)}"
-            )
-        total += m
+        total += cc.multiplicity(S, _limit_covector(cx, S, *limit))
     return total

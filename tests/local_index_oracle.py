@@ -1,9 +1,9 @@
 """Refinement-until-agreement local index, kept as a test oracle.
 
-The library counts once, in the closed star of v after one barycentric
-subdivision.  This module keeps the rule it replaced: subdivide around v
-level after level, count in the closed star of the image of v at each level,
-and accept a count once two consecutive levels agree.
+The library counts once, on the open star of v in the complex as given.
+This module keeps the rule that came before it: subdivide around v level
+after level, count in the closed star of the image of v at each level, and
+accept a count once two consecutive levels agree.
 """
 
 from __future__ import annotations
@@ -11,12 +11,36 @@ from __future__ import annotations
 from schedule_oracle import PerturbationSchedule, stabilized_count
 
 from eulercc import ConstructibleFunction, simplex
-from eulercc.complexes import closed_star, closed_star_of_simplex, induced_complex
+from eulercc.complexes import (
+    EmbeddedComplex,
+    Simplex,
+    closed_star,
+    closed_star_of_simplex,
+    induced_complex,
+)
 from eulercc.constructible import transport
-from eulercc.errors import BoundaryCollisionError, NonConvergenceError
+from eulercc.errors import BoundaryCollisionError, InputError, NonConvergenceError
 from eulercc.functions import squared_distance_from
-from eulercc.intersect import _image_vertex, _restrict_function
 from eulercc.subdivision import barycentric_subdivide
+
+
+def _restrict_function(
+    alpha: ConstructibleFunction, small: EmbeddedComplex, vmap: dict[int, int]
+) -> ConstructibleFunction:
+    inv = {new: old for old, new in vmap.items()}
+    values: dict[Simplex, int] = {}
+    for s in small.simplices:
+        val = alpha.value(frozenset(inv[i] for i in s))
+        if val:
+            values[s] = val
+    return ConstructibleFunction(small, values)
+
+
+def _image_vertex(step, vid: int) -> int:
+    for s in step.complex.simplices:
+        if len(s) == 1 and step.ancestry[s] == frozenset({vid}):
+            return next(iter(s))
+    raise InputError(f"vertex {vid} has no image in the subdivision")
 
 
 def refined_local_count(

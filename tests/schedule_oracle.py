@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from eulercc import CharacteristicCycle, ConstructibleFunction, Vec, rat
-from eulercc.complexes import as_region
+from eulercc import CharacteristicCycle, ConstructibleFunction, Vec, rat, simplex
+from eulercc.complexes import EmbeddedComplex, Simplex, as_region, close_under_faces
 from eulercc.errors import (
     BoundaryCollisionError,
     DegeneracyError,
@@ -28,8 +28,15 @@ from eulercc.morse import (
     _as_quadratic,
     critical_points,
     morse_sign,
-    tube_boundary,
 )
+
+
+def tube_boundary(cx: EmbeddedComplex, region) -> frozenset[Simplex]:
+    """Simplices of a closed region having a strict coface outside it."""
+    region = as_region(cx, region)
+    return frozenset(
+        s for s in region if any(c not in region for c in cx.strict_cofaces(s))
+    )
 
 
 @dataclass(frozen=True)
@@ -105,18 +112,22 @@ def stabilized_count(
     schedule: PerturbationSchedule,
     tube=None,
     cc: CharacteristicCycle | None = None,
+    guard: bool = True,
 ) -> tuple[int, StabilizationReport]:
-    """Morse count inside the tube, once stability_window values agree.
+    """Morse count on the tube's strata, once stability_window values agree.
 
-    A nonzero-multiplicity critical point on the tube boundary poisons that
-    eta; degeneracies likewise.  Poisoned or changed values reset the
-    agreement streak.  Exhausting the schedule raises BoundaryCollisionError
-    when the last failure was a collision, else NonConvergenceError with the
-    per-eta trace.
+    With guard, the tube is a closed region and a nonzero-multiplicity
+    critical point on its boundary poisons that eta; without it, the tube is
+    any set of strata (None: all) and nothing is guarded, as in the library
+    count.  Degeneracies poison an eta too.  Poisoned or changed values
+    reset the agreement streak.  Exhausting the schedule raises
+    BoundaryCollisionError when the last failure was a collision, else
+    NonConvergenceError with the per-eta trace.
     """
     cx = alpha.complex
-    region = as_region(cx, tube)
-    boundary = tube_boundary(cx, region)
+    strata = cx.simplices if tube is None else frozenset(map(simplex, tube))
+    region = as_region(cx, close_under_faces(strata))
+    boundary = tube_boundary(cx, strata) if guard else frozenset()
     if cc is None:
         cc = CharacteristicCycle(alpha)
     base_q = _as_quadratic(base_f)
@@ -131,7 +142,11 @@ def stabilized_count(
     for eta in schedule.eta_sequence:
         f_eta = base_q.add(bump.scale(eta))
         try:
-            cps = critical_points(f_eta, cx, region)
+            cps = [
+                cp
+                for cp in critical_points(f_eta, cx, region)
+                if cp.stratum.simplex in strata
+            ]
         except DegenerateFunctionError:
             history.append(EtaRecord(eta, "degenerate-critical-locus", None))
             streak, streak_value, pd_streak = 0, None, True

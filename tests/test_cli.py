@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from eulercc import BoundaryCollisionError, TheoremReport, cli
+from eulercc import DegeneracyError, TheoremReport, cli
 
 
 @pytest.fixture()
@@ -228,10 +228,10 @@ def test_local_index_cli(sphere_dir, capsys) -> None:
 def test_nonconvergence_prints_the_rejection_log(tmp_path, capsys, monkeypatch) -> None:
     assert cli.main(["fixtures", "dump", "--name", "interval", "--dir", str(tmp_path)]) == 0
 
-    def collide(*args, **kwargs):
-        raise BoundaryCollisionError("critical point on the tube boundary")
+    def degenerate(*args, **kwargs):
+        raise DegeneracyError("limit gradient pairs to zero with a star vertex")
 
-    monkeypatch.setattr("eulercc.intersect.stabilized_count", collide)
+    monkeypatch.setattr("eulercc.intersect.stabilized_count", degenerate)
     capsys.readouterr()
     rc = cli.main(
         [

@@ -13,7 +13,6 @@ from eulercc import (
     UnstableLevelError,
     Vec,
     barycentric_subdivide,
-    build_tube_spec,
     constant_function,
     dual,
     enumerate_chambers,
@@ -22,7 +21,6 @@ from eulercc import (
     from_values,
     halflink_integral,
     indicator,
-    integral_over,
     jshriek_extend,
     jstar_extend,
     multiplicity_at,
@@ -31,8 +29,8 @@ from eulercc import (
     slice_integral,
     subdivide_along_hyperplane,
     transport,
+    vanishing_cycle,
 )
-from eulercc.complexes import closed_star_of_simplex, is_subcomplex
 from eulercc.constructible import (
     level_restriction,
     side_partition,
@@ -96,8 +94,8 @@ def test_euler_integral_is_linear(by_name) -> None:
 def test_integral_over_subregion(by_name) -> None:
     fx = by_name["circle"]
     arc = frozenset(s for s in fx.complex.simplices if s != simplex([0, 1]))
-    assert integral_over(fx.functions["one"], arc) == 1
-    assert integral_over(fx.functions["one"], None) == 0
+    assert euler_integral(fx.functions["one"], arc) == 1
+    assert euler_integral(fx.functions["one"], None) == 0
 
 
 def test_dual_frozen_on_interval(by_name) -> None:
@@ -254,16 +252,32 @@ def test_transport_preserves_values_and_integral(builtins) -> None:
                 assert alpha2.value(new) == alpha.value(old)
 
 
-def test_build_tube_spec_shapes(by_name) -> None:
+def test_vanishing_cycle_frozen_on_flat_edges(by_name) -> None:
+    """f = y vanishes on the edge {0, 1} of the triangle and the elbow."""
     fx = by_name["triangle"]
-    res = barycentric_subdivide(fx.complex)
-    alpha2 = transport(fx.functions["one"], res)
-    base = frozenset({simplex([0])})
-    spec = build_tube_spec(res.complex, base, fx.morse_inputs["y"])
-    assert spec.epsilon > 0
-    assert base <= spec.tube
-    assert is_subcomplex(res.complex, spec.tube)
-    assert spec.tube == closed_star_of_simplex(res.complex, simplex([0]))
-    # the shrunken level slice stays inside the tube and off the vertices
-    value = slice_integral(alpha2, spec.tube, spec.level_function, -spec.epsilon)
-    assert isinstance(value, int)
+    phi = vanishing_cycle(fx.functions["one"], fx.morse_inputs["y"])
+    assert phi.values == {simplex([0]): 1, simplex([1]): 1, simplex([0, 1]): 1}
+    fx = by_name["elbow"]
+    phi = vanishing_cycle(fx.functions["ab_open"], fx.morse_inputs["y"])
+    assert phi.values == {simplex([0, 1]): 1}
+
+
+def test_vanishing_cycle_is_the_halflink_defect_at_df(builtins) -> None:
+    """phi lives on the zero level, and wherever df is nondegenerate over a
+    zero-level stratum, phi there is alpha minus the lower-halflink integral."""
+    checked = 0
+    for fx in builtins:
+        cx = fx.complex
+        for f in fx.morse_inputs.values():
+            level = {s for s in cx.simplices if all(cx.vertex_value(f, v) == 0 for v in s)}
+            for alpha in fx.functions.values():
+                phi = vanishing_cycle(alpha, f)
+                assert set(phi.values) <= level, fx.name
+                for s in level:
+                    try:
+                        defect = alpha.value(s) - halflink_integral(alpha, s, f.linear)
+                    except DegeneracyError:
+                        continue
+                    checked += 1
+                    assert phi.value(s) == defect, (fx.name, sorted(s))
+    assert checked > 0

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulercc import (
     AffineFunction,
-    BoundaryCollisionError,
+    DegeneracyError,
     HypothesisViolationError,
     InputError,
     NonConvergenceError,
@@ -19,12 +22,14 @@ from eulercc import (
     compute_intersection_locus,
     from_values,
     global_index,
+    intersect,
     local_index,
     random_fixture,
     rat,
     simplex,
     verify_theorem1,
 )
+from eulercc.fixtures import vertex_pair_lines
 from eulercc.io import dumps, jsonable
 
 
@@ -74,8 +79,8 @@ def test_identity_log_records_every_hypothesis(by_name) -> None:
     fx = by_name["interval"]
     report = verify_theorem1(fx.functions["one"], fx.morse_inputs["x"])
     checks = [h.get("check") for h in report.hypothesis_log]
-    assert checks == ["locus", "zero-level-support", "tube-separation", "eta-limit"]
-    assert report.artifacts["epsilon"] > 0
+    assert checks == ["locus", "zero-level-support", "vanishing-cycle-support", "eta-limit"]
+    assert sorted(report.artifacts) == ["K", "locus", "rejected", "seed_used"]
     assert report.artifacts["K"] == ((0,),)
 
 
@@ -99,6 +104,61 @@ def test_identity_holds_where_a_coarse_eta_schedule_misreads(by_name) -> None:
 
 
 @pytest.mark.parametrize(
+    "seed, fname, linear, constant, value",
+    [
+        (14, "random0", ("-1/2", "1/2"), 1, 4),
+        (15, "dual_one", (-1, 1), 0, -2),
+        (15, "random0", (-1, 1), 0, -7),
+        (18, "dual_one", ("-2/3", "-1/3"), "4/3", -2),
+        (21, "one", (-1, 1), 0, -1),
+    ],
+)
+def test_identity_holds_where_f_is_flat_on_an_edge_of_k(
+    seed, fname, linear, constant, value
+) -> None:
+    """K holds an edge on which f vanishes.  A slice of the closed-star tube
+    of K read the lhs as 7, -1, -10, -1 and 0 here."""
+    fx = random_fixture(seed)
+    report = verify_theorem1(fx.functions[fname], AffineFunction(Vec.of(*linear), constant))
+    assert report.holds and report.lhs == report.rhs == value
+
+
+def test_vanishing_cycle_support_check_names_the_stratum(by_name, monkeypatch) -> None:
+    """phi is 1 on the edge {f = 0} of the triangle; a locus that leaves the
+    edge out of K makes the check raise with the edge as witness."""
+    fx = by_name["triangle"]
+    locus = intersect.compute_intersection_locus
+
+    def drop_edge(alpha, f, cc=None):
+        entries, K = locus(alpha, f, cc)
+        return entries, K - {simplex([0, 1])}
+
+    monkeypatch.setattr(intersect, "compute_intersection_locus", drop_edge)
+    with pytest.raises(HypothesisViolationError) as exc:
+        verify_theorem1(fx.functions["one"], fx.morse_inputs["y"])
+    assert exc.value.witness == {"stratum": (0, 1), "phi": 1}
+
+
+_random_fixture = functools.lru_cache(maxsize=None)(random_fixture)
+
+
+@settings(max_examples=30, derandomize=True)
+@given(
+    seed=st.integers(0, 39),
+    fname=st.sampled_from(["one", "dual_one", "random0"]),
+    draw=st.integers(0, 5),
+)
+def test_identity_holds_or_raises_on_lines_through_vertex_pairs(seed, fname, draw) -> None:
+    fx = _random_fixture(seed)
+    f = vertex_pair_lines(fx.complex, seed, draw + 1)[draw]
+    try:
+        report = verify_theorem1(fx.functions[fname], f)
+    except (HypothesisViolationError, NonConvergenceError):
+        return
+    assert report.holds, (seed, fname, draw, report.lhs, report.rhs)
+
+
+@pytest.mark.parametrize(
     "run",
     [
         lambda fx: verify_theorem1(fx.functions["one"], fx.morse_inputs["x"]),
@@ -112,15 +172,17 @@ def test_index_verifiers_exhaust_seeds_with_typed_error(
 ) -> None:
     """All three verifiers count through one kernel with one seed policy."""
 
-    def collide(*args, **kwargs):
-        raise BoundaryCollisionError("critical point on the tube boundary")
+    def degenerate(*args, **kwargs):
+        raise DegeneracyError("limit gradient pairs to zero with a star vertex")
 
-    monkeypatch.setattr("eulercc.intersect.stabilized_count", collide)
+    monkeypatch.setattr("eulercc.intersect.stabilized_count", degenerate)
     with pytest.raises(NonConvergenceError) as exc:
         run(by_name["interval"])
     trace = exc.value.trace
     assert [rec["seed"] for rec in trace] == list(range(8))
-    assert all(rec["reason"] == "critical point on the tube boundary" for rec in trace)
+    assert all(
+        rec["reason"] == "limit gradient pairs to zero with a star vertex" for rec in trace
+    )
 
 
 def test_identity_trivial_when_locus_is_empty(by_name) -> None:
@@ -171,7 +233,7 @@ def test_local_index_frozen_on_interval_endpoint(by_name) -> None:
     report = local_index(fx.functions["one"], 0, seed=0)
     assert report.holds and report.lhs == report.rhs == 1
     (count,) = [e for e in report.hypothesis_log if e["check"] == "star-count"]
-    assert count["levels_used"] == 1 and count["seeds_rejected"] == 0
+    assert count == {"check": "star-count", "status": "ok", "seed_used": 0, "seeds_rejected": 0}
     assert report.artifacts["rejected"] == ()
 
 

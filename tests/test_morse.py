@@ -8,7 +8,6 @@ import pytest
 
 from eulercc import (
     AffineFunction,
-    BoundaryCollisionError,
     DegeneracyError,
     DegenerateFunctionError,
     InputError,
@@ -24,7 +23,7 @@ from eulercc import (
     stabilized_count,
     stratified_morse_sum,
 )
-from eulercc.morse import morse_sign, tube_boundary
+from eulercc.morse import morse_sign
 
 
 def _parabola_1d() -> QuadAffineFunction:
@@ -143,30 +142,20 @@ def test_stabilized_count_matches_across_seeds(by_name) -> None:
     assert values == {1}
 
 
-def test_tube_boundary_frozen(by_name) -> None:
-    cx = by_name["triangle"].complex
-    tube = frozenset(close_under_faces([simplex([0, 1])]))
-    assert sorted(tuple(sorted(s)) for s in tube_boundary(cx, tube)) == [
-        (0,),
-        (0, 1),
-        (1,),
-    ]
-    # the whole complex has no boundary in this sense
-    assert tube_boundary(cx, cx.simplices) == frozenset()
-
-
-def test_boundary_collision_is_reported(by_name) -> None:
-    """A nonzero-multiplicity critical point pinned to the tube boundary is
-    a collision at every small eta, so the limit count refuses it."""
+def test_stabilized_count_reads_any_set_of_strata(by_name) -> None:
+    """The count is additive over strata, so an open star and its
+    complement split the count on the whole complex."""
     tr = by_name["triangle"]
-    tube = frozenset(close_under_faces([simplex([0, 1])]))
-    with pytest.raises(BoundaryCollisionError):
-        stabilized_count(
-            tr.functions["open_cell"],
-            squared_distance_from(Vec.of(1, -1)),
-            *_tilt(0, 2),
-            tube,
-        )
+    f = squared_distance_from(Vec.of("1/3", "1/3"))
+    alpha = tr.functions["one"]
+    star = [simplex([0]), simplex([0, 1]), simplex([0, 2]), simplex([0, 1, 2])]
+    rest = [s for s in tr.complex.simplices if s not in star]
+    tilt = _tilt(0, 2)
+    assert stabilized_count(alpha, f, *tilt, star) + stabilized_count(
+        alpha, f, *tilt, rest
+    ) == stabilized_count(alpha, f, *tilt)
+    with pytest.raises(InputError):
+        stabilized_count(alpha, f, *tilt, [simplex([0, 9])])
 
 
 def test_degeneracy_on_adversarial_direction(by_name) -> None:

@@ -1,8 +1,9 @@
 """The exact eta -> 0+ Morse count against the decreasing eta schedule.
 
 Every call the verifiers make to stabilized_count is also run through
-tests/schedule_oracle.py (window 3) on the same (alpha, base, center,
-direction, tube); both must give the same value, or both must reject.
+tests/schedule_oracle.py (window 3, unguarded) on the same (alpha, base,
+center, direction, region); both must give the same value, or both must
+reject.
 """
 
 from __future__ import annotations
@@ -16,9 +17,12 @@ from eulercc import (
     DegeneracyError,
     NonConvergenceError,
     Vec,
+    close_under_faces,
     intersect,
     local_index,
     random_fixture,
+    simplex,
+    squared_distance_from,
     verify_theorem1,
 )
 
@@ -32,17 +36,19 @@ def paired(monkeypatch) -> list[tuple]:
     exact_count = intersect.stabilized_count
     pairs: list[tuple] = []
 
-    def both(alpha, base_f, center, direction, tube=None, cc=None):
+    def both(alpha, base_f, center, direction, region=None, cc=None):
         schedule = schedule_oracle.PerturbationSchedule.from_seed(
             0, alpha.complex.ambient_dim, center=center, direction=direction
         )
         try:
-            oracle, _ = schedule_oracle.stabilized_count(alpha, base_f, schedule, tube)
-        except (BoundaryCollisionError, NonConvergenceError):
+            oracle, _ = schedule_oracle.stabilized_count(
+                alpha, base_f, schedule, region, guard=False
+            )
+        except NonConvergenceError:
             oracle = REJECTED
         try:
-            exact = exact_count(alpha, base_f, center, direction, tube, cc)
-        except (BoundaryCollisionError, DegeneracyError):
+            exact = exact_count(alpha, base_f, center, direction, region, cc)
+        except DegeneracyError:
             pairs.append((REJECTED, oracle))
             raise
         pairs.append((exact, oracle))
@@ -76,3 +82,27 @@ def test_schedule_misreads_the_random_4_case(paired) -> None:
     report = verify_theorem1(fx.functions["random0"], f)
     assert report.rhs == -2
     assert paired == [(-2, -6)]
+
+
+def test_tube_boundary_frozen(by_name) -> None:
+    cx = by_name["triangle"].complex
+    tube = frozenset(close_under_faces([simplex([0, 1])]))
+    assert sorted(tuple(sorted(s)) for s in schedule_oracle.tube_boundary(cx, tube)) == [
+        (0,),
+        (0, 1),
+        (1,),
+    ]
+    # the whole complex has no boundary in this sense
+    assert schedule_oracle.tube_boundary(cx, cx.simplices) == frozenset()
+
+
+def test_boundary_collision_is_reported(by_name) -> None:
+    """A nonzero-multiplicity critical point pinned to the tube boundary is
+    a collision at every eta of the schedule, so the guarded count refuses it."""
+    tr = by_name["triangle"]
+    tube = frozenset(close_under_faces([simplex([0, 1])]))
+    schedule = schedule_oracle.PerturbationSchedule.from_seed(0, 2)
+    with pytest.raises(BoundaryCollisionError):
+        schedule_oracle.stabilized_count(
+            tr.functions["open_cell"], squared_distance_from(Vec.of(1, -1)), schedule, tube
+        )
