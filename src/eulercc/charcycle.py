@@ -71,7 +71,7 @@ def is_nondegenerate(cx: EmbeddedComplex, S, xi: Vec) -> bool:
         S = cx.stratum(S)
     if not is_conormal(cx, S, xi):
         raise InputError(f"covector not conormal to {sorted(S.simplex)}")
-    return all(xi.dot(d) != 0 for d in cx.star_geometry(S).directions)
+    return 0 not in cx.star_geometry(S).pairings(xi)
 
 
 def strict_sign_vector(cx: EmbeddedComplex, S: StratumRef, xi: Vec) -> SignVector:
@@ -83,8 +83,7 @@ def weak_sign_vector(cx: EmbeddedComplex, S: StratumRef, xi: Vec) -> SignVector:
     """Like strict_sign_vector but zeros are kept (closure membership tests)."""
     star = cx.star_geometry(S)
     out: list[tuple[int, int]] = []
-    for p, d in zip(star.vertex_ids, star.directions):
-        pairing = xi.dot(d)
+    for p, pairing in zip(star.vertex_ids, star.pairings(xi)):
         out.append((p, 0 if pairing == 0 else (1 if pairing > 0 else -1)))
     return tuple(out)
 
@@ -102,10 +101,10 @@ def enumerate_chambers(cx: EmbeddedComplex, S) -> list[ConormalChamber]:
     of the ratio of the two functionals.  The witnesses are those of the
     extension over every star vertex (tests/chamber_oracle.py): there a
     parallel vertex always takes its free sign and its opposite sign is
-    infeasible, and Fourier-Motzkin divides each constraint by the absolute
-    value of its lead coefficient and drops repeats, so every system it
-    solves reduces to the same constraints in the same order.  The chambers
-    are stored in the complex's star geometry of S.
+    infeasible, and Fourier-Motzkin keeps each constraint as a primitive
+    integer vector and drops repeats, so every system it solves reduces to
+    the same constraints in the same order.  The chambers are stored in the
+    complex's star geometry of S.
     """
     if not isinstance(S, StratumRef):
         S = cx.stratum(S)

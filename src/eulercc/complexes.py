@@ -17,6 +17,8 @@ from .errors import InputError
 from .functions import AffineFunction
 from .linalg import (
     Vec,
+    clear_denominators,
+    int_dot,
     matrix_rank,
     rat,
     solve_affine,
@@ -57,13 +59,29 @@ class StarGeometry:
     """The local cone of a stratum S, filled once per stratum and complex.
 
     vertex_ids are the vertices of the strict cofaces of S outside S, sorted;
-    directions[i] is vertex_ids[i] minus the barycenter of S.  chambers is
+    directions[i] is vertex_ids[i] minus the barycenter of S.
+    integer_directions[i] is a positive integer multiple of directions[i]:
+    the sign of a pairing with a covector, and the ratio of two pairings with
+    one direction, do not change under positive scaling, so sign tests pair
+    in int.  chambers is
     None until charcycle.enumerate_chambers stores the conormal chambers of S.
     """
 
     vertex_ids: tuple[int, ...]
     directions: tuple[Vec, ...]
+    integer_directions: tuple[tuple[int, ...], ...]
     chambers: tuple | None = None
+
+    def pairings(self, xi: Vec) -> list[int]:
+        """Positive multiples of xi . directions[i], in vertex order, paired in int.
+
+        Each has the sign of xi . directions[i]; the multipliers differ
+        between directions.
+        """
+        (x,) = clear_denominators(xi)
+        if self.integer_directions and len(x) != len(self.integer_directions[0]):
+            raise InputError("covector dimension mismatch")
+        return [int_dot(x, d) for d in self.integer_directions]
 
 
 @dataclass(frozen=True)
@@ -157,7 +175,12 @@ class EmbeddedComplex:
             ids |= tau
         vertex_ids = tuple(sorted(ids - S.simplex))
         b = S.barycenter
-        geo = StarGeometry(vertex_ids, tuple(self.vertices[p] - b for p in vertex_ids))
+        directions = tuple(self.vertices[p] - b for p in vertex_ids)
+        geo = StarGeometry(
+            vertex_ids,
+            directions,
+            tuple(clear_denominators(d)[0] for d in directions),
+        )
         self._stars[S.simplex] = geo
         return geo
 

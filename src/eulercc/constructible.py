@@ -170,8 +170,7 @@ def star_signs(cx: EmbeddedComplex, S: StratumRef, xi: Vec) -> list[tuple[int, i
     """
     star = cx.star_geometry(S)
     out: list[tuple[int, int]] = []
-    for p, d in zip(star.vertex_ids, star.directions):
-        pairing = xi.dot(d)
+    for p, pairing in zip(star.vertex_ids, star.pairings(xi)):
         if pairing == 0:
             raise DegeneracyError(
                 f"covector pairs to zero with star vertex {p} of {sorted(S.simplex)}",

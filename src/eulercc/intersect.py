@@ -90,7 +90,8 @@ def compute_intersection_locus(
 
     The graph of df sits over every point at the fixed covector xi = df; it
     meets the closed support over a stratum exactly when xi is conormal there
-    and weakly satisfies some nonzero chamber.  K collects the closures of
+    and weakly satisfies some nonzero chamber; only the chambers it weakly
+    satisfies are asked for their multiplicity.  K collects the closures of
     the met strata on which f vanishes identically (for affine f a met
     stratum with f = 0 somewhere on its closure is on-level outright, so
     closures of on-level strata are the whole zero-level part of the locus).
@@ -108,9 +109,11 @@ def compute_intersection_locus(
             continue
         weak = dict(weak_sign_vector(cx, S, xi))
         on_level = all(cx.vertex_value(f, v) == 0 for v in s)
-        for chamber, m in cc.nonzero_chambers(s):
+        for chamber in cc.chambers(S):
             if all(weak[p] == 0 or weak[p] == sgn for p, sgn in chamber.sign_vector):
-                entries.append(LocusEntry(s, chamber.sign_vector, m, on_level))
+                m = cc.multiplicity(S, chamber.witness)
+                if m != 0:
+                    entries.append(LocusEntry(s, chamber.sign_vector, m, on_level))
     K = frozenset(
         close_under_faces({e.simplex for e in entries if e.on_level})
     )

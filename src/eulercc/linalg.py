@@ -1,17 +1,26 @@
-"""Exact rational linear algebra.
+"""Exact rational linear algebra on an integer kernel.
 
-Everything here is built on `fractions.Fraction`; no floating point enters at
-any stage.  The three workhorses are `solve_affine` (exact affine solve with a
-parametrized solution set), `inertia` (signature of a symmetric form by
+Values enter and leave as `fractions.Fraction` (`rat`, `Vec`, the returned
+solutions and witnesses), and no floating point enters at any stage.  Inside,
+the hot loops run on plain int: a `Vec` operation accumulates over integer
+numerators and denominators and builds one normalized Fraction per result or
+entry; `clear_denominators` and `int_dot` give the integer multiples and
+pairings that sign tests use; elimination is fraction-free (Bareiss) on rows
+scaled to integers; and Fourier-Motzkin keeps each constraint as a primitive
+integer vector.  The three workhorses are `solve_affine` (exact affine solve
+with a parametrized solution set), `inertia` (signature of a symmetric form by
 congruence), and `strict_feasibility` (Fourier-Motzkin decision procedure for
 mixed strict/weak linear systems, with an exact interior witness and the
-dimension of the feasible set).
+dimension of the feasible set).  tests/linalg_oracle.py keeps the Fraction
+implementations they replaced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
@@ -34,6 +43,60 @@ def rat(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"malformed rational {value!r}: {exc}") from exc
     raise InputError(f"not an exact rational: {value!r} ({type(value).__name__})")
+
+
+def _not_rational(*rows: Iterable) -> InputError:
+    """The error for a kernel input with an entry that is not an int or Fraction."""
+    bad = next(
+        x for row in rows for x in row if not isinstance(x, (int, Fraction))
+    )
+    return InputError(f"not an exact rational: {bad!r} ({type(bad).__name__})")
+
+
+def clear_denominators(*vectors: "Vec") -> tuple[tuple[int, ...], ...]:
+    """The vectors times the lcm of all their denominators, as int tuples.
+
+    One common positive multiplier, so every sign of a pairing and every
+    ratio of two pairings with the results is that of the vectors.
+    """
+    try:
+        m = lcm(*(x.denominator for v in vectors for x in v.entries))
+        return tuple(
+            tuple(x.numerator * (m // x.denominator) for x in v.entries)
+            for v in vectors
+        )
+    except AttributeError:
+        raise _not_rational(*(v.entries for v in vectors)) from None
+
+
+def _dot_ratio(xs: Sequence, ys: Sequence) -> tuple[int, int]:
+    """(num, den) with den > 0 and num / den = sum of x * y over int or Fraction
+    entries, summed over one running integer numerator and denominator."""
+    num, den = 0, 1
+    try:
+        for x, y in zip(xs, ys):
+            d = x.denominator * y.denominator
+            if d == den:
+                num += x.numerator * y.numerator
+            else:
+                num = num * d + x.numerator * y.numerator * den
+                den *= d
+    except AttributeError:
+        raise _not_rational(xs, ys) from None
+    return num, den
+
+
+def int_dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
+
+
+def _integer_row(row: Sequence) -> list[int]:
+    """The row times the lcm of its denominators: integer, same solutions."""
+    try:
+        m = lcm(*(x.denominator for x in row))
+        return [x.numerator * (m // x.denominator) for x in row]
+    except AttributeError:
+        raise _not_rational(row) from None
 
 
 def format_rational(q: Fraction) -> str:
@@ -71,20 +134,41 @@ class Vec:
         return len(self.entries)
 
     def __add__(self, other: "Vec") -> "Vec":
-        self._check_dim(other)
-        return Vec(tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Vec") -> "Vec":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Vec", sign: int) -> "Vec":
+        """self + sign * other, one integer numerator per entry."""
         self._check_dim(other)
-        return Vec(tuple(a - b for a, b in zip(self.entries, other.entries)))
+        out = []
+        try:
+            for a, b in zip(self.entries, other.entries):
+                ad, bd = a.denominator, b.denominator
+                if ad == bd:
+                    out.append(Fraction(a.numerator + sign * b.numerator, ad))
+                else:
+                    out.append(
+                        Fraction(a.numerator * bd + sign * b.numerator * ad, ad * bd)
+                    )
+        except AttributeError:
+            raise _not_rational(self.entries, other.entries) from None
+        return Vec(tuple(out))
 
     def scale(self, c) -> "Vec":
         c = rat(c)
-        return Vec(tuple(c * a for a in self.entries))
+        cn, cd = c.numerator, c.denominator
+        try:
+            return Vec(
+                tuple([Fraction(cn * a.numerator, cd * a.denominator) for a in self.entries])
+            )
+        except AttributeError:
+            raise _not_rational(self.entries) from None
 
     def dot(self, other: "Vec") -> Fraction:
         self._check_dim(other)
-        return sum((a * b for a, b in zip(self.entries, other.entries)), Fraction(0))
+        return Fraction(*_dot_ratio(self.entries, other.entries))
 
     def norm_sq(self) -> Fraction:
         return self.dot(self)
@@ -93,7 +177,7 @@ class Vec:
         return all(a == 0 for a in self.entries)
 
     def _check_dim(self, other: "Vec") -> None:
-        if self.dim != other.dim:
+        if len(self.entries) != len(other.entries):
             raise InputError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
     def __getitem__(self, i: int) -> Fraction:
@@ -189,40 +273,51 @@ class AffineSubspace:
         return len(self.basis)
 
 
-def _rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in place; returns (matrix, pivot column list)."""
+def _rref(matrix: list[list[int]]) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination in place; returns the pivot columns.
+
+    Bareiss's integer-preserving elimination ("Sylvester's identity and
+    multistep integer-preserving Gaussian elimination", Math. Comp. 1968),
+    applied to the rows above each pivot as well as below: every row is
+    replaced by (p * row - row[c] * pivot row) / p', with p the new pivot and
+    p' the previous one.  After step k every entry is a k- or (k+1)-rowed
+    minor of the input, so each division is exact.  At the end every pivot
+    row i holds d times row i of the reduced row echelon form, where
+    d = matrix[i][pivots[i]] is the same for all of them, and the rows past
+    the rank are zero.  A row scaling does not move the zero pattern, so the
+    pivot columns are those of the reduced form, which is unique.
+    """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     pivots: list[int] = []
+    prev = 1
     r = 0
     for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if matrix[i][c] != 0:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, rows) if matrix[i][c]), None)
         if pivot_row is None:
             continue
         matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
-        inv = Fraction(1) / matrix[r][c]
-        matrix[r] = [x * inv for x in matrix[r]]
+        top = matrix[r]
+        p = top[c]
         for i in range(rows):
-            if i != r and matrix[i][c] != 0:
-                factor = matrix[i][c]
-                matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[r])]
+            if i == r:
+                continue
+            row = matrix[i]
+            factor = row[c]
+            if factor:
+                matrix[i] = [(p * a - factor * b) // prev for a, b in zip(row, top)]
+            elif p != prev:
+                matrix[i] = [p * a // prev for a in row]
+        prev = p
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return matrix, pivots
+    return pivots
 
 
 def matrix_rank(rows: Sequence[Vec]) -> int:
-    if not rows:
-        return 0
-    work = [list(v.entries) for v in rows]
-    _, pivots = _rref(work)
-    return len(pivots)
+    return len(_rref([_integer_row(v.entries) for v in rows]))
 
 
 def solve_affine(equations: Sequence[tuple[Vec, Fraction]], dim: int) -> AffineSubspace | None:
@@ -237,25 +332,21 @@ def solve_affine(equations: Sequence[tuple[Vec, Fraction]], dim: int) -> AffineS
             raise InputError("equation dimension mismatch")
     if not equations:
         return AffineSubspace(Vec.zero(dim), tuple(Vec.unit(dim, i) for i in range(dim)))
-    aug = [list(a.entries) + [rat(c)] for a, c in equations]
-    reduced, pivots = _rref(aug)
-    n_rows = len(pivots)
-    for row in reduced[n_rows:]:
-        if row[-1] != 0:
-            return None
+    aug = [_integer_row(a.entries + (rat(c),)) for a, c in equations]
+    pivots = _rref(aug)
     if dim in pivots:
         return None  # pivot in the constant column: inconsistent
     pivot_set = set(pivots)
     free = [c for c in range(dim) if c not in pivot_set]
     point = [Fraction(0)] * dim
-    for i, c in enumerate(pivots):
-        point[c] = reduced[i][-1]
+    for row, c in zip(aug, pivots):
+        point[c] = Fraction(row[-1], row[c])
     basis = []
     for f in free:
         direction = [Fraction(0)] * dim
         direction[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            direction[c] = -reduced[i][f]
+        for row, c in zip(aug, pivots):
+            direction[c] = Fraction(-row[f], row[c])
         basis.append(Vec(tuple(direction)))
     return AffineSubspace(Vec(tuple(point)), tuple(basis))
 
@@ -338,26 +429,28 @@ class FeasibilityResult(NamedTuple):
     dim: int  # dimension of the feasible set; -1 when infeasible
 
 
-# Internal constraint form: coeffs . t  (>|>=)  rhs
-_Con = tuple[tuple[Fraction, ...], Fraction, bool]  # (coeffs, rhs, strict)
+# Internal constraint form: coeffs . t  (>|>=)  rhs, as a primitive integer
+# vector (coeffs, rhs): two constraints are positively proportional exactly
+# when their primitive forms are equal
+_Con = tuple[tuple[int, ...], int, bool]  # (coeffs, rhs, strict)
 
 
-def _normalize_con(con: _Con) -> _Con:
-    coeffs, rhs, strict = con
-    lead = next((abs(c) for c in coeffs if c != 0), None)
-    if lead is None:
-        return con
-    inv = Fraction(1) / lead
-    return (tuple(c * inv for c in coeffs), rhs * inv, strict)
+def _primitive(row: list[int], strict: bool) -> _Con:
+    """The constraint row[:-1] . t (>|>=) row[-1] divided by the gcd of its entries."""
+    g = gcd(*row)
+    if g > 1:
+        row = [x // g for x in row]
+    return (tuple(row[:-1]), row[-1], strict)
 
 
-def _fm_feasible(constraints: list[_Con], k: int) -> Vec | None:
+def _fm_feasible(cons: list[_Con], k: int) -> Vec | None:
     """Fourier-Motzkin over R^k; returns a witness or None.
 
     Strictness is tracked through eliminations: a combined bound is strict when
-    either parent is strict.
+    either parent is strict.  Every constraint is kept primitive, so repeats
+    are dropped exactly when they are positively proportional, and each
+    back-substitution bound is a ratio, unchanged by the scaling.
     """
-    cons = [_normalize_con(c) for c in constraints]
     levels: list[list[_Con]] = []
     for var in range(k - 1, -1, -1):
         deduped: list[_Con] = []
@@ -383,9 +476,9 @@ def _fm_feasible(constraints: list[_Con], k: int) -> Vec | None:
             for uc, ur, us in uppers:
                 ua = uc[var]
                 # eliminate var from la*var >= lr - ... and ua*var >= ur - ... (ua < 0)
-                coeffs = tuple(lc[i] * (-ua) + uc[i] * la for i in range(k))
-                rhs = lr * (-ua) + ur * la
-                new.append(_normalize_con((coeffs, rhs, ls or us)))
+                row = [x * (-ua) + y * la for x, y in zip(lc, uc)]
+                row.append(lr * (-ua) + ur * la)
+                new.append(_primitive(row, ls or us))
         cons = new
     for coeffs, rhs, strict in cons:
         assert all(c == 0 for c in coeffs)
@@ -408,10 +501,8 @@ def _fm_feasible(constraints: list[_Con], k: int) -> Vec | None:
             if a == 0:
                 continue
             # this level still contains vars 0..var; earlier ones are assigned
-            bound = rhs - sum(
-                (coeffs[i] * values[i] for i in range(var)), Fraction(0)
-            )
-            bound = bound / a
+            num, den = _dot_ratio(coeffs, values[:var])
+            bound = Fraction(rhs * den - num, a * den)
             if a > 0:
                 if lo is None or bound > lo:
                     lo, lo_strict = bound, strict
@@ -434,8 +525,8 @@ def _fm_feasible(constraints: list[_Con], k: int) -> Vec | None:
         else:
             values[var] = Fraction(0)
     for coeffs, rhs, strict in levels[0]:
-        total = sum((coeffs[i] * values[i] for i in range(k)), Fraction(0))
-        assert total > rhs if strict else total >= rhs, "witness fails a constraint"
+        num, den = _dot_ratio(coeffs, values)  # den > 0
+        assert num > rhs * den if strict else num >= rhs * den, "witness fails a constraint"
     return Vec(tuple(values))
 
 
@@ -475,7 +566,7 @@ def strict_feasibility(
                     if not rhs <= 0:
                         return None
                 continue
-            out.append((coeffs, rhs, strict))
+            out.append(_primitive(_integer_row(coeffs + (rhs,)), strict))
         return out
 
     strict_cons = reduce(strict_inequalities, True)
@@ -498,13 +589,13 @@ def strict_feasibility(
     if not weak_cons:
         return FeasibilityResult(True, embed(witness_t), k)
 
-    implicit_normals: list[Vec] = []
+    implicit_normals: list[list[int]] = []
     probes: list[Vec] = []
     for i, (coeffs, rhs, _) in enumerate(weak_cons):
         others = strict_cons + [w for j, w in enumerate(weak_cons) if j != i]
         probe = _fm_feasible(others + [(coeffs, rhs, True)], k)
         if probe is None:
-            implicit_normals.append(Vec(coeffs))
+            implicit_normals.append(list(coeffs))
         else:
             probes.append(probe)
     if probes:
@@ -515,5 +606,5 @@ def strict_feasibility(
         interior_t = acc.scale(Fraction(1, len(probes)))
     else:
         interior_t = witness_t
-    rank = matrix_rank(implicit_normals)
+    rank = len(_rref(implicit_normals))
     return FeasibilityResult(True, embed(interior_t), k - rank)

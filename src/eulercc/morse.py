@@ -24,7 +24,16 @@ from .complexes import EmbeddedComplex, StratumRef, as_region, simplex, sort_key
 from .constructible import ConstructibleFunction
 from .errors import DegeneracyError, DegenerateFunctionError, InputError
 from .functions import AffineFunction, QuadAffineFunction
-from .linalg import Inertia, SymMatrix, Vec, inertia, solve_affine, strict_feasibility
+from .linalg import (
+    Inertia,
+    SymMatrix,
+    Vec,
+    clear_denominators,
+    inertia,
+    int_dot,
+    solve_affine,
+    strict_feasibility,
+)
 
 
 @dataclass(frozen=True)
@@ -224,8 +233,9 @@ def _limit_covector(cx: EmbeddedComplex, S: StratumRef, g0: Vec, g1: Vec) -> Vec
     """
     eps = Fraction(1)
     star = cx.star_geometry(S)
-    for p, d in zip(star.vertex_ids, star.directions):
-        x0, x1 = g0.dot(d), g1.dot(d)
+    h0, h1 = clear_denominators(g0, g1)  # one multiplier keeps each x0 / x1
+    for p, d in zip(star.vertex_ids, star.integer_directions):
+        x0, x1 = int_dot(h0, d), int_dot(h1, d)
         if x0 == 0 and x1 == 0:
             raise DegeneracyError(
                 f"limit gradient pairs to zero with star vertex {p} of "
@@ -233,7 +243,7 @@ def _limit_covector(cx: EmbeddedComplex, S: StratumRef, g0: Vec, g1: Vec) -> Vec
                 witness={"stratum": tuple(sorted(S.simplex)), "star_vertex": p},
             )
         if x0 != 0 and x1 != 0:
-            eps = min(eps, abs(x0) / (2 * abs(x1)))
+            eps = min(eps, Fraction(abs(x0), 2 * abs(x1)))
     return g0 + g1.scale(eps)
 
 

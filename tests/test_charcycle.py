@@ -93,6 +93,15 @@ def test_weak_sign_vector_records_zero_pairings(by_name) -> None:
     assert weak == {1: -1, 2: -1, 3: 0}
 
 
+def test_sign_vectors_reject_a_covector_of_the_wrong_dimension(by_name) -> None:
+    # the integer pairings must not truncate a longer covector to the star's length
+    cx = by_name["cone3"].complex
+    stratum = cx.stratum(simplex([0]))
+    for sign_vector in (strict_sign_vector, weak_sign_vector):
+        with pytest.raises(InputError, match="dimension mismatch"):
+            sign_vector(cx, stratum, Vec.of(1, 1, 1))
+
+
 def test_multiplicity_constant_across_chamber_witnesses(by_name) -> None:
     for name in ("circle", "cone3", "book"):
         fx = by_name[name]
