@@ -10,13 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
+from math import lcm
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
 from .functions import AffineFunction
 from .linalg import (
     Vec,
+    _rref,
     clear_denominators,
     int_dot,
     matrix_rank,
@@ -40,18 +43,78 @@ def sort_key(s: Simplex) -> tuple[int, tuple[int, ...]]:
     return (len(s), tuple(sorted(s)))
 
 
+class LimitFrame(NamedTuple):
+    """The orthogonal projection onto a stratum's directions, scaled to int.
+
+    It is what morse._limit_gradient reads.  With D the n x d matrix whose
+    columns are the stratum's direction basis and G = D^T D, the base
+    vertex is base / base_den, and for every vector r
+
+        weights . r = det * G^-1 D^T r         (coordinates in the basis D)
+        normal . r  = det * (r - D G^-1 D^T r)  (the part normal to the stratum)
+
+    where det > 0 is the determinant of E E^T, E = Lambda D^T the direction
+    basis with row i scaled by the lcm lambda_i of its denominators.  Then
+    det * G^-1 D^T = Lambda adj(E E^T) E and det * D G^-1 D^T =
+    E^T adj(E E^T) E, so every entry is an int.
+    """
+
+    base: tuple[int, ...]
+    base_den: int
+    det: int
+    weights: tuple[tuple[int, ...], ...]  # d rows of n
+    normal: tuple[tuple[int, ...], ...]  # n rows of n
+
+
 @dataclass(frozen=True)
 class StratumRef:
     """A stratum (open simplex) with its exact affine data.
 
-    direction_basis spans the direction space of the affine hull; the
-    barycenter uses equal weights, so both are exact rationals.
+    direction_basis[i] is vertex i + 1 minus base, the first vertex, in
+    sorted vertex order; it spans the direction space of the affine hull.
+    The barycenter uses equal weights, so all are exact rationals.
     """
 
     simplex: Simplex
     dim: int
     direction_basis: tuple[Vec, ...]
     barycenter: Vec
+    base: Vec
+
+    @cached_property
+    def limit_frame(self) -> LimitFrame:
+        """The integer projection frame, computed on first use.
+
+        It is stored on this object, so it lives exactly as long as the
+        complex's stratum cache that holds it.  One fraction-free
+        elimination of [E E^T | E] leaves +-det times [I | (E E^T)^-1 E],
+        that is +-adj(E E^T) E; the sign of the pivot is normalized.
+        """
+        base, base_den = _integer_multiple(self.base)
+        cleared = [_integer_multiple(v) for v in self.direction_basis]
+        E = [e for e, _ in cleared]
+        d, n = len(E), len(base)
+        aug = [[int_dot(ei, ej) for ej in E] + list(ei) for ei in E]
+        if len(_rref(aug)) < d:
+            raise InputError(f"degenerate simplex {sorted(self.simplex)}")
+        det = aug[0][0] if d else 1
+        P = [row[d:] if det > 0 else [-x for x in row[d:]] for row in aug]
+        det = abs(det)
+        weights = tuple(tuple(lam * x for x in row) for (_, lam), row in zip(cleared, P))
+        normal = tuple(
+            tuple(
+                det * (i == j) - sum(e[i] * p[j] for e, p in zip(E, P))
+                for j in range(n)
+            )
+            for i in range(n)
+        )
+        return LimitFrame(base, base_den, det, weights, normal)
+
+
+def _integer_multiple(v: Vec) -> tuple[tuple[int, ...], int]:
+    """(m * v as ints, m), m > 0 the lcm of the denominators of v."""
+    m = lcm(*(x.denominator for x in v.entries))
+    return tuple(x.numerator * (m // x.denominator) for x in v.entries), m
 
 
 @dataclass
@@ -161,7 +224,7 @@ class EmbeddedComplex:
         for p in pts:
             bary = bary + p
         bary = bary.scale(Fraction(1, len(pts)))
-        ref = StratumRef(fs, len(fs) - 1, basis, bary)
+        ref = StratumRef(fs, len(fs) - 1, basis, bary, base)
         self._strata[fs] = ref
         return ref
 

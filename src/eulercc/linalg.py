@@ -5,13 +5,14 @@ solutions and witnesses), and no floating point enters at any stage.  Inside,
 the hot loops run on plain int: a `Vec` operation accumulates over integer
 numerators and denominators and builds one normalized Fraction per result or
 entry; `clear_denominators` and `int_dot` give the integer multiples and
-pairings that sign tests use; elimination is fraction-free (Bareiss) on rows
-scaled to integers; and Fourier-Motzkin keeps each constraint as a primitive
-integer vector.  The three workhorses are `solve_affine` (exact affine solve
-with a parametrized solution set), `inertia` (signature of a symmetric form by
-congruence), and `strict_feasibility` (Fourier-Motzkin decision procedure for
-mixed strict/weak linear systems, with an exact interior witness and the
-dimension of the feasible set).  tests/linalg_oracle.py keeps the Fraction
+pairings that sign tests use; elimination, symmetric elimination included,
+is fraction-free (Bareiss) on rows scaled to integers; and Fourier-Motzkin
+keeps each constraint as a primitive integer vector.  The three workhorses are
+`solve_affine` (exact affine solve with a parametrized solution set),
+`inertia` (signature of a symmetric form by congruence), and
+`strict_feasibility` (Fourier-Motzkin decision procedure for mixed
+strict/weak linear systems, with an exact interior witness and the dimension
+of the feasible set).  tests/linalg_oracle.py keeps the Fraction
 implementations they replaced.
 """
 
@@ -368,59 +369,55 @@ def orthogonal_complement(vectors: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
 
 
 def inertia(matrix: SymMatrix) -> Inertia:
-    """Signature (n_pos, n_neg, n_zero) by exact congruence diagonalization.
+    """Signature (n_pos, n_neg, n_zero) by fraction-free congruence diagonalization.
 
     Sylvester's law makes the triple invariant under A -> B^T A B for
-    invertible B, which is the property the tests pin down.
+    invertible B, which is the property the tests pin down.  The entries are
+    scaled to integers by one positive multiplier, which keeps the triple,
+    and eliminated symmetrically by Bareiss's rule: after k pivots the
+    active block is D_k times the Schur complement of the eliminated
+    indices, D_k the last pivot (a k-rowed principal minor), so each
+    division by it is exact, and the k-th diagonal entry of the congruent
+    diagonal form is D_k / D_(k-1).  When every active diagonal entry is
+    zero, adding row and column j to row and column i makes it 2 A[i][j];
+    that integer congruence on the active indices keeps the divisions exact.
     """
     n = matrix.n
-    work = [list(row) for row in matrix.rows]
-    n_pos = n_neg = n_zero = 0
-    idx = list(range(n))
-    start = 0
-    while start < n:
-        pivot = None
-        for i in range(start, n):
-            if work[idx[i]][idx[i]] != 0:
-                pivot = i
+    try:
+        m = lcm(*(x.denominator for row in matrix.rows for x in row))
+        work = [[x.numerator * (m // x.denominator) for x in row] for row in matrix.rows]
+    except AttributeError:
+        raise _not_rational(*matrix.rows) from None
+    active = list(range(n))
+    n_pos = n_neg = 0
+    prev = 1
+    while active:
+        i = next((i for i in active if work[i][i]), None)
+        if i is None:
+            pair = next(
+                ((i, j) for i in active for j in active if i != j and work[i][j]), None
+            )
+            if pair is None:
                 break
-        if pivot is None:
-            off = None
-            for i in range(start, n):
-                for j in range(i + 1, n):
-                    if work[idx[i]][idx[j]] != 0:
-                        off = (i, j)
-                        break
-                if off:
-                    break
-            if off is None:
-                n_zero += n - start
-                break
-            i, j = off
-            ri, rj = idx[i], idx[j]
-            # congruence by adding row/col j to row/col i makes the diagonal nonzero
-            for k in range(n):
-                work[ri][k] += work[rj][k]
-            for k in range(n):
-                work[k][ri] += work[k][rj]
-            pivot = i
-        idx[start], idx[pivot] = idx[pivot], idx[start]
-        p = idx[start]
-        d = work[p][p]
-        if d > 0:
+            i, j = pair
+            for k in active:
+                work[i][k] += work[j][k]
+            for k in active:
+                work[k][i] += work[k][j]
+        p = work[i][i]
+        if (p > 0) == (prev > 0):
             n_pos += 1
         else:
             n_neg += 1
-        for i2 in range(start + 1, n):
-            q = idx[i2]
-            if work[q][p] != 0:
-                factor = work[q][p] / d
-                for k in range(n):
-                    work[q][k] -= factor * work[p][k]
-                for k in range(n):
-                    work[k][q] -= factor * work[k][p]
-        start += 1
-    return Inertia(n_pos, n_neg, n_zero)
+        active.remove(i)
+        top = work[i]
+        for q in active:
+            row = work[q]
+            factor = row[i]
+            for k in active:
+                row[k] = (p * row[k] - factor * top[k]) // prev
+        prev = p
+    return Inertia(n_pos, n_neg, len(active))
 
 
 class FeasibilityResult(NamedTuple):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .charcycle import CharacteristicCycle
 from .complexes import EmbeddedComplex, StratumRef, as_region, simplex, sort_key
@@ -31,7 +32,6 @@ from .linalg import (
     clear_denominators,
     inertia,
     int_dot,
-    solve_affine,
     strict_feasibility,
 )
 
@@ -171,7 +171,7 @@ class RationalSampler:
                 return v
 
 
-def _lex_sign(x0: Fraction, x1: Fraction) -> int:
+def _lex_sign(x0: int | Fraction, x1: int | Fraction) -> int:
     """Sign of x0 + eta*x1 for all small eta > 0: that of the first nonzero one."""
     x = x0 if x0 != 0 else x1
     return (x > 0) - (x < 0)
@@ -188,63 +188,76 @@ def _quadratic_weight(f: QuadAffineFunction) -> Fraction:
 
 
 def _limit_gradient(
-    cx: EmbeddedComplex, S: StratumRef, a: Fraction, u0: Vec, u1: Vec
-) -> tuple[Vec, Vec] | None:
-    """(g0, g1) with gradient g0 + eta*g1 at the critical point on S, if interior.
+    S: StratumRef, A: int, M: int, U0: Sequence[int], U1: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """A positive multiple of (g0, g1), the gradient g0 + eta*g1 at the
+    critical point on S, if that point is interior.
 
-    f_eta has gradient s*y - u with s = 2(a + eta) and u = u0 + eta*u1.  On
-    y = v0 + D t the critical point solves G (s t) = D^T (u - s v0), G = D^T D,
-    whose right side is D^T r0 + eta D^T r1 with r_k = u_k - 2 c_k v0
-    (c_0 = a, c_1 = 1).  So s t = w0 + eta*w1 with G w_k = D^T r_k, and the
-    gradient there is g0 + eta*g1 with g_k = D w_k - r_k: minus the part of
-    r_k normal to S, so both are conormal.  The point is interior for small
-    eta when every s t_i and s (1 - sum t_i) is lexicographically positive;
-    s > 0 leaves the signs of t alone.  Vertices are always critical.
+    f_eta has gradient s*y - u with s = 2(a + eta) and u = u0 + eta*u1,
+    given here over one denominator M > 0 as a = A/M and u_k = U_k/M.  On
+    y = v0 + D t the critical point solves G (s t) = D^T (u - s v0),
+    G = D^T D, whose right side is D^T r0 + eta D^T r1 with
+    r_k = u_k - 2 c_k v0 (c_0 = a, c_1 = 1).  So s t = w0 + eta*w1 with
+    w_k = G^-1 D^T r_k, and the gradient there is g0 + eta*g1 with
+    g_k = D w_k - r_k: minus the part of r_k normal to S, so both are
+    conormal.  The point is interior for small eta when every s t_i and
+    s (1 - sum t_i) is lexicographically positive; s > 0 leaves the signs of
+    t alone.  Vertices are always critical.
+
+    G depends on S alone, so nothing is solved per count: S.limit_frame
+    holds, once per stratum, v0 = V/m and the adjugate forms
+    weights = Δ G^-1 D^T and normal = Δ (I - D G^-1 D^T) over one
+    determinant Δ > 0, all in int.  With the integer vectors
+    R_k = M m r_k = m U_k - 2 C_k V (C_0 = A, C_1 = M) and N = Δ M m > 0,
+
+        N w_k = weights . R_k,    N g_k = -normal . R_k,
+        N (2 c_k - sum of w_k) = 2 Δ m C_k - sum of weights . R_k.
+
+    Multiplying both coefficients of x0 + eta*x1 by N > 0 keeps its
+    lexicographic sign, so interiority is decided exactly as from w_k; and
+    one common positive multiple of g0 and g1 keeps every sign and every
+    ratio x0/x1 of their star pairings, so _limit_covector finds the same
+    chamber, and the multiplicity memo the same key.
+    tests/limit_gradient_oracle.py keeps the Fraction Gram solve.
     """
-    v0 = cx.vertices[min(S.simplex)]  # the base of S.direction_basis
-    r0 = u0 - v0.scale(2 * a)
-    r1 = u1 - v0.scale(2)
-    D = S.direction_basis
-    if not D:
-        return r0.scale(-1), r1.scale(-1)
-    d = len(D)
-    gram = [Vec(tuple(D[i].dot(D[j]) for j in range(d))) for i in range(d)]
-    w0, w1 = (
-        solve_affine([(gram[i], D[i].dot(r)) for i in range(d)], d).point
-        if not r.is_zero()
-        else Vec.zero(d)  # G is positive definite, so G w = 0 forces w = 0
-        for r in (r0, r1)
-    )
-    slack = (2 * a - sum(w0), 2 - sum(w1))
-    if any(_lex_sign(x0, x1) <= 0 for x0, x1 in [*zip(w0, w1), slack]):
+    frame = S.limit_frame
+    m, V = frame.base_den, frame.base
+    R0 = [m * u - 2 * A * v for u, v in zip(U0, V)]
+    R1 = [m * u - 2 * M * v for u, v in zip(U1, V)]
+    x0 = [int_dot(w, R0) for w in frame.weights]
+    x1 = [int_dot(w, R1) for w in frame.weights]
+    slack = (2 * frame.det * m * A - sum(x0), 2 * frame.det * m * M - sum(x1))
+    if any(_lex_sign(y0, y1) <= 0 for y0, y1 in [*zip(x0, x1), slack]):
         return None
-    g0, g1 = r0.scale(-1), r1.scale(-1)
-    for di, x0, x1 in zip(D, w0, w1):
-        g0, g1 = g0 + di.scale(x0), g1 + di.scale(x1)
-    return g0, g1
+    return (
+        tuple(-int_dot(q, R0) for q in frame.normal),
+        tuple(-int_dot(q, R1) for q in frame.normal),
+    )
 
 
-def _limit_covector(cx: EmbeddedComplex, S: StratumRef, g0: Vec, g1: Vec) -> Vec:
+def _limit_covector(
+    cx: EmbeddedComplex, S: StratumRef, g0: Sequence[int], g1: Sequence[int]
+) -> Vec:
     """A covector in the chamber that g0 + eta*g1 lies in for small eta > 0.
 
     Each star pairing of xi = g0 + eps*g1 has the lexicographic sign of
     (g0 . d, g1 . d), since eps*|g1 . d| <= |g0 . d|/2 wherever both are
     nonzero; a direction paired to zero by both is degenerate at every eta.
+    With eps = p/q, the covector returned is q*xi, in integers.
     """
-    eps = Fraction(1)
+    p, q = 1, 1
     star = cx.star_geometry(S)
-    h0, h1 = clear_denominators(g0, g1)  # one multiplier keeps each x0 / x1
-    for p, d in zip(star.vertex_ids, star.integer_directions):
-        x0, x1 = int_dot(h0, d), int_dot(h1, d)
+    for vid, d in zip(star.vertex_ids, star.integer_directions):
+        x0, x1 = int_dot(g0, d), int_dot(g1, d)
         if x0 == 0 and x1 == 0:
             raise DegeneracyError(
-                f"limit gradient pairs to zero with star vertex {p} of "
+                f"limit gradient pairs to zero with star vertex {vid} of "
                 f"{sorted(S.simplex)} at every eta",
-                witness={"stratum": tuple(sorted(S.simplex)), "star_vertex": p},
+                witness={"stratum": tuple(sorted(S.simplex)), "star_vertex": vid},
             )
-        if x0 != 0 and x1 != 0:
-            eps = min(eps, Fraction(abs(x0), 2 * abs(x1)))
-    return g0 + g1.scale(eps)
+        if x0 != 0 and x1 != 0 and abs(x0) * q < 2 * abs(x1) * p:
+            p, q = abs(x0), 2 * abs(x1)
+    return Vec(tuple(Fraction(q * y0 + p * y1) for y0, y1 in zip(g0, g1)))
 
 
 def stabilized_count(
@@ -290,10 +303,12 @@ def stabilized_count(
         cc = CharacteristicCycle(alpha)
     u0 = base_q.linear.scale(-1)
     u1 = center.scale(2) - direction
+    # one denominator M for a, u0 and u1: the last vector is (M*a, M)
+    U0, U1, (A, M) = clear_denominators(u0, u1, Vec((a, Fraction(1))))
     total = 0
     for s in sorted(strata, key=sort_key):
         S = cx.stratum(s)
-        limit = _limit_gradient(cx, S, a, u0, u1)
+        limit = _limit_gradient(S, A, M, U0, U1)
         if limit is None:
             continue
         total += cc.multiplicity(S, _limit_covector(cx, S, *limit))

@@ -4,9 +4,11 @@ The library clears denominators and runs dot products, elimination and
 Fourier-Motzkin over plain int.  This module keeps the rules it replaced,
 every step over `fractions.Fraction`: a dot product as a sum of Fraction
 products; reduced row echelon form by dividing each pivot row by its pivot;
-and Fourier-Motzkin with each constraint divided by the absolute value of its
-lead coefficient.  solve_affine, matrix_rank, orthogonal_complement and
-strict_feasibility are the library's, rebuilt on these parts.
+Fourier-Motzkin with each constraint divided by the absolute value of its
+lead coefficient; and the inertia of a symmetric matrix by congruence
+elimination with the factor A[q][p] / A[p][p].  solve_affine, matrix_rank,
+orthogonal_complement and strict_feasibility are the library's, rebuilt on
+these parts.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from eulercc import Vec
-from eulercc.linalg import AffineSubspace, FeasibilityResult, rat
+from eulercc.linalg import AffineSubspace, FeasibilityResult, Inertia, SymMatrix, rat
 
 _Con = tuple[tuple[Fraction, ...], Fraction, bool]  # (coeffs, rhs, strict)
 
@@ -199,3 +201,55 @@ def strict_feasibility(equalities, strict_inequalities, weak_inequalities, dim) 
     else:
         interior_t = witness_t
     return FeasibilityResult(True, embed(interior_t), k - matrix_rank(implicit_normals))
+
+
+def inertia(matrix: SymMatrix) -> Inertia:
+    """Signature (n_pos, n_neg, n_zero) by congruence diagonalization over Fraction."""
+    n = matrix.n
+    work = [list(row) for row in matrix.rows]
+    n_pos = n_neg = n_zero = 0
+    idx = list(range(n))
+    start = 0
+    while start < n:
+        pivot = None
+        for i in range(start, n):
+            if work[idx[i]][idx[i]] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            off = None
+            for i in range(start, n):
+                for j in range(i + 1, n):
+                    if work[idx[i]][idx[j]] != 0:
+                        off = (i, j)
+                        break
+                if off:
+                    break
+            if off is None:
+                n_zero += n - start
+                break
+            i, j = off
+            ri, rj = idx[i], idx[j]
+            # congruence by adding row/col j to row/col i makes the diagonal nonzero
+            for k in range(n):
+                work[ri][k] += work[rj][k]
+            for k in range(n):
+                work[k][ri] += work[k][rj]
+            pivot = i
+        idx[start], idx[pivot] = idx[pivot], idx[start]
+        p = idx[start]
+        d = work[p][p]
+        if d > 0:
+            n_pos += 1
+        else:
+            n_neg += 1
+        for i2 in range(start + 1, n):
+            q = idx[i2]
+            if work[q][p] != 0:
+                factor = work[q][p] / d
+                for k in range(n):
+                    work[q][k] -= factor * work[p][k]
+                for k in range(n):
+                    work[k][q] -= factor * work[k][p]
+        start += 1
+    return Inertia(n_pos, n_neg, n_zero)

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from eulercc import InputError, Vec, strict_feasibility
-from eulercc.linalg import matrix_rank, orthogonal_complement, solve_affine
+from eulercc import InputError, SymMatrix, Vec, strict_feasibility
+from eulercc.linalg import inertia, matrix_rank, orthogonal_complement, solve_affine
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 # many zero entries make elimination meet zero factors below and above pivots
@@ -93,6 +93,34 @@ def test_strict_feasibility_matches_fraction_fourier_motzkin(case) -> None:
     got = strict_feasibility(eqs, stricts, weaks, dim)
     want = oracle.strict_feasibility(eqs, stricts, weaks, dim)
     assert (got.feasible, got.witness, got.dim) == (want.feasible, want.witness, want.dim)
+
+
+@st.composite
+def symmetric(draw, dim: int) -> SymMatrix:
+    """A symmetric matrix, its diagonal all zero half the time, so that the
+    congruence that makes a diagonal entry from an off-diagonal one runs;
+    zero rows and repeated rows make it singular."""
+    zero_diagonal = draw(st.booleans())
+    data = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            if i == j and zero_diagonal:
+                continue
+            data[i][j] = data[j][i] = draw(sparse)
+    return SymMatrix.from_rows(data)
+
+
+@given(st.integers(0, 5).flatmap(symmetric))
+def test_inertia_matches_fraction_congruence(matrix) -> None:
+    assert inertia(matrix) == oracle.inertia(matrix)
+
+
+def test_inertia_reaches_the_off_diagonal_congruence() -> None:
+    # every diagonal entry is zero at the start and again after the first pivot
+    m = SymMatrix.from_rows(
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, "2/3"], [0, 0, "2/3", 0]]
+    )
+    assert inertia(m) == oracle.inertia(m) == (2, 2, 0)
 
 
 @pytest.mark.parametrize(
