@@ -14,27 +14,33 @@ of the star of S (see constructible.halflink_integral), and the formula is
 the PL local index formula for characteristic cycles (Kashiwara-Schapira,
 Sheaves on Manifolds, Ch. IX; Schapira, "Operations on constructible
 functions", JPAA 1991).  tests/test_halflink_oracle.py checks it against the
-exact normal-slice geometry.  Nothing is materialized up front: a
-CharacteristicCycle fills one (chamber, multiplicity) table per stratum the
-first time a support query reaches it, and theorem checks only ever query
-finitely many covectors.
+exact normal-slice geometry.  Nothing is materialized up front.  A support
+query at one covector xi reads only the chambers whose closure holds xi:
+those of the sub-arrangement of the hyperplanes through xi, which is xi's
+own chamber when no star vertex pairs to zero with it.  Only the queries
+that need every chamber over a stratum (xi normal to the whole star, the
+level strata of the boundary estimate, the antipodal check, the cc output)
+fill the stratum's (chamber, multiplicity) table.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .complexes import EmbeddedComplex, Simplex, StratumRef, carrier
 from .constructible import (
     ConstructibleFunction,
+    _lower_link_sum,
     dual,
     halflink_integral,
     is_conormal,
     star_signs,
 )
 from .errors import InputError
-from .linalg import Vec, orthogonal_complement, strict_feasibility
+from .linalg import Vec, matrix_rank, orthogonal_complement, strict_feasibility
 
 SignVector = tuple[tuple[int, int], ...]  # ((star vertex id, sign), ...) sorted
 
@@ -88,39 +94,23 @@ def weak_sign_vector(cx: EmbeddedComplex, S: StratumRef, xi: Vec) -> SignVector:
     return tuple(out)
 
 
-def enumerate_chambers(cx: EmbeddedComplex, S) -> list[ConormalChamber]:
-    """All realizable strict sign vectors over S, each with an interior witness.
+def _functional(basis: Sequence[Vec], direction: Vec) -> Vec:
+    """xi -> xi . direction on the conormal space, in the coordinates of basis."""
+    return Vec(tuple(e.dot(direction) for e in basis))
 
-    Incremental construction over the star-vertex hyperplane arrangement in
-    the conormal subspace.  Star vertices whose functionals xi -> xi . (p - b)
-    are parallel cut one hyperplane, so the extension runs over one
-    representative of each parallel class: every chamber of the first i
-    distinct hyperplanes is extended by the sign it already realizes for
-    free, and by the opposite sign through one exact feasibility call.  Each
-    star vertex then reads its sign off its representative's, times the sign
-    of the ratio of the two functionals.  The witnesses are those of the
-    extension over every star vertex (tests/chamber_oracle.py): there a
-    parallel vertex always takes its free sign and its opposite sign is
-    infeasible, and Fourier-Motzkin keeps each constraint as a primitive
-    integer vector and drops repeats, so every system it solves reduces to
-    the same constraints in the same order.  The chambers are stored in the
-    complex's star geometry of S.
+
+def _parallel_classes(
+    functionals: Sequence[Vec],
+) -> tuple[list[Vec], list[tuple[int, int]]]:
+    """One representative of each parallel class of nonzero functionals.
+
+    Returns the representatives in order of first appearance and, per
+    functional, (index of its representative, sign of their ratio).
     """
-    if not isinstance(S, StratumRef):
-        S = cx.stratum(S)
-    star = cx.star_geometry(S)
-    if star.chambers is not None:
-        return list(star.chambers)
-    if not star.vertex_ids:
-        star.chambers = (ConormalChamber(S, (), Vec.zero(cx.ambient_dim)),)
-        return list(star.chambers)
-    basis = conormal_basis(cx, S)
-    w = len(basis)
     distinct: list[Vec] = []
     leads: dict[tuple[Fraction, ...], tuple[int, Fraction]] = {}
-    classes: list[tuple[int, int]] = []  # (index into distinct, sign of ratio)
-    for d in star.directions:
-        func = Vec(tuple(e.dot(d) for e in basis))
+    classes: list[tuple[int, int]] = []
+    for func in functionals:
         lead = next(x for x in func if x != 0)
         key = tuple(x / lead for x in func)
         if key not in leads:
@@ -128,6 +118,17 @@ def enumerate_chambers(cx: EmbeddedComplex, S) -> list[ConormalChamber]:
             distinct.append(func)
         k, rep_lead = leads[key]
         classes.append((k, 1 if (lead > 0) == (rep_lead > 0) else -1))
+    return distinct, classes
+
+
+def _extend(distinct: Sequence[Vec], w: int) -> list[tuple[list[int], Vec]]:
+    """Every realizable strict sign vector of the central arrangement in R^w
+    cut by the given pairwise nonparallel functionals, with an interior point.
+
+    Every chamber of the first i hyperplanes is extended by the sign it
+    already realizes for free, and by the opposite sign through one exact
+    feasibility call.
+    """
     partial: list[tuple[list[int], Vec]] = [([], Vec.zero(w))]
     for func in distinct:
         grown: list[tuple[list[int], Vec]] = []
@@ -145,8 +146,39 @@ def enumerate_chambers(cx: EmbeddedComplex, S) -> list[ConormalChamber]:
                 if res.feasible:
                     grown.append((signs + [cand], res.witness))
         partial = grown
+    return partial
+
+
+def enumerate_chambers(cx: EmbeddedComplex, S) -> list[ConormalChamber]:
+    """All realizable strict sign vectors over S, each with an interior witness.
+
+    Incremental construction over the star-vertex hyperplane arrangement in
+    the conormal subspace.  Star vertices whose functionals xi -> xi . (p - b)
+    are parallel cut one hyperplane, so the extension (_extend) runs over one
+    representative of each parallel class (_parallel_classes).  Each star
+    vertex then reads its sign off its representative's, times the sign of
+    the ratio of the two functionals.  The witnesses are those of the
+    extension over every star vertex (tests/chamber_oracle.py): there a
+    parallel vertex always takes its free sign and its opposite sign is
+    infeasible, and Fourier-Motzkin keeps each constraint as a primitive
+    integer vector and drops repeats, so every system it solves reduces to
+    the same constraints in the same order.  The chambers are stored in the
+    complex's star geometry of S.
+    """
+    if not isinstance(S, StratumRef):
+        S = cx.stratum(S)
+    star = cx.star_geometry(S)
+    if star.chambers is not None:
+        return list(star.chambers)
+    if not star.vertex_ids:
+        star.chambers = (ConormalChamber(S, (), Vec.zero(cx.ambient_dim)),)
+        return list(star.chambers)
+    basis = conormal_basis(cx, S)
+    distinct, classes = _parallel_classes(
+        [_functional(basis, d) for d in star.directions]
+    )
     chambers = []
-    for signs, wit_t in partial:
+    for signs, wit_t in _extend(distinct, len(basis)):
         xi = Vec.zero(cx.ambient_dim)
         for coeff, e in zip(wit_t, basis):
             xi = xi + e.scale(coeff)
@@ -206,11 +238,15 @@ class CharacteristicCycle:
     """Lazy multiplicity accessor for CC(alpha).
 
     Multiplicities are constant on chambers, so they are memoized per
-    (stratum, sign vector).  Support queries read a per-stratum table of
-    (chamber, multiplicity) pairs, filled once through that memo from the
-    chambers stored in the complex's star geometry; a cycle and its dual share
-    those chambers but not their tables.  Both memos are write-once with
-    identical values and are safe under concurrent insertion.
+    (stratum, strict sign vector); the key fixes the set of star vertices
+    below, which is all a multiplicity reads.  Support queries at one
+    covector (closure_chambers) fill that memo for the chambers whose closure
+    holds it, without enumerating the others.  Queries that need every
+    chamber over a stratum read a per-stratum table of (chamber, multiplicity)
+    pairs, filled once through the same memo from the chambers stored in the
+    complex's star geometry; a cycle and its dual share those chambers but not
+    their tables.  Both memos are write-once with identical values and are
+    safe under concurrent insertion.
     """
 
     def __init__(self, alpha: ConstructibleFunction):
@@ -249,22 +285,78 @@ class CharacteristicCycle:
     def nonzero_chambers(self, s) -> list[tuple[ConormalChamber, int]]:
         return [(c, m) for c, m in self.chamber_multiplicities(s) if m != 0]
 
-    def closure_supports(self, S, xi: Vec) -> bool:
-        """Is (base of S, xi) in the closed support, tested at stratum S only?
+    def closure_chambers(self, S, xi: Vec) -> list[tuple[SignVector, int]]:
+        """(strict sign vector, multiplicity) of every chamber over S whose
+        closure holds xi, sorted by sign vector; empty when xi is not conormal.
 
-        True when xi is conormal to S and lies in the closure of some chamber
-        with nonzero multiplicity: every weak sign matches or vanishes.
+        Localization: a chamber's closure holds xi exactly when the chamber
+        is one of the central sub-arrangement of the star hyperplanes through
+        xi (Zaslavsky, "Facing up to arrangements", Mem. AMS 1975).  It keeps
+        xi's nonzero signs and takes, on the star vertices pairing to zero, a
+        sign pattern some conormal t realizes, for then xi + eps * t lies in
+        it for small eps > 0.  With no zero pairing that is xi's own chamber.
+        Star vertices with parallel functionals share a hyperplane; when the
+        representatives of the zero classes are linearly independent, every
+        pattern of signs on them is realized, and only otherwise does the
+        incremental extension decide which are.  When every pairing is zero
+        every chamber qualifies, and the table of S answers.  A multiplicity
+        missing from the memo is alpha(S) minus the lower-link sum over the
+        star vertices the sign vector puts below, stored under the key a
+        witness query of that chamber reads.
         """
         cx = self.complex
         if not isinstance(S, StratumRef):
             S = cx.stratum(S)
         if not is_conormal(cx, S, xi):
-            return False
-        weak = dict(weak_sign_vector(cx, S, xi))
-        for chamber, _ in self.nonzero_chambers(S.simplex):
-            if all(weak[p] == 0 or weak[p] == s for p, s in chamber.sign_vector):
-                return True
-        return False
+            return []
+        weak = weak_sign_vector(cx, S, xi)
+        zeros = [i for i, (_, sign) in enumerate(weak) if sign == 0]
+        if weak and len(zeros) == len(weak):
+            return [(c.sign_vector, m) for c, m in self.chamber_multiplicities(S)]
+        if not zeros:
+            sign_vectors = [weak]
+        else:
+            basis = conormal_basis(cx, S)
+            directions = cx.star_geometry(S).directions
+            distinct, classes = _parallel_classes(
+                [_functional(basis, directions[i]) for i in zeros]
+            )
+            if matrix_rank(distinct) == len(distinct):
+                patterns = product((1, -1), repeat=len(distinct))
+            else:
+                patterns = (signs for signs, _ in _extend(distinct, len(basis)))
+            sign_vectors = []
+            for signs in patterns:
+                sv = list(weak)
+                for i, (k, r) in zip(zeros, classes):
+                    sv[i] = (weak[i][0], signs[k] * r)
+                sign_vectors.append(tuple(sv))
+            sign_vectors.sort()
+        return [(sv, self._chamber_value(S, sv)) for sv in sign_vectors]
+
+    def _chamber_value(self, S: StratumRef, sign_vector: SignVector) -> int:
+        key = (S.simplex, sign_vector)
+        value = self._memo.get(key)
+        if value is None:
+            below = {p for p, sign in sign_vector if sign < 0}
+            value = self.alpha.value(S.simplex) - _lower_link_sum(
+                self.alpha, S.simplex, below
+            )
+            self._memo[key] = value
+        return value
+
+    def closure_supports(self, S, xi: Vec) -> bool:
+        """Is (base of S, xi) in the closed support, tested at stratum S only?
+
+        True when xi is conormal to S and some chamber whose closure holds it
+        has nonzero multiplicity.  Those chambers are decided locally
+        (closure_chambers): by Zaslavsky's localization ("Facing up to
+        arrangements", Mem. AMS 1975) they are the chambers of the
+        sub-arrangement of the star hyperplanes through xi, and when the
+        parallel classes of the zero pairings are linearly independent every
+        sign pattern on them is one, with no feasibility test.
+        """
+        return any(m != 0 for _, m in self.closure_chambers(S, xi))
 
 
 def support_contains(cc: CharacteristicCycle, x: Vec, xi: Vec) -> bool:

@@ -18,7 +18,6 @@ from .charcycle import (
     CharacteristicCycle,
     SignVector,
     chamber_witnesses,
-    weak_sign_vector,
 )
 from .complexes import (
     Simplex,
@@ -32,7 +31,6 @@ from .complexes import (
 from .constructible import (
     ConstructibleFunction,
     euler_integral,
-    is_conormal,
     jshriek_extend,
     jstar_extend,
     side_partition,
@@ -90,11 +88,19 @@ def compute_intersection_locus(
 
     The graph of df sits over every point at the fixed covector xi = df; it
     meets the closed support over a stratum exactly when xi is conormal there
-    and weakly satisfies some nonzero chamber; only the chambers it weakly
-    satisfies are asked for their multiplicity.  K collects the closures of
-    the met strata on which f vanishes identically (for affine f a met
-    stratum with f = 0 somewhere on its closure is on-level outright, so
-    closures of on-level strata are the whole zero-level part of the locus).
+    and lies in the closure of some nonzero chamber.  Those chambers are
+    found locally (CharacteristicCycle.closure_chambers): by Zaslavsky's
+    localization ("Facing up to arrangements", Mem. AMS 1975) they are the
+    chambers of the sub-arrangement of the star hyperplanes through xi, so a
+    stratum where no star vertex pairs to zero with xi asks for one
+    multiplicity, and one where the zero pairings fall into linearly
+    independent parallel classes asks for each sign pattern on them with no
+    feasibility test.  Only a stratum whose whole star pairs to zero with xi
+    enumerates its chambers.  Entries are listed by stratum and then by sign
+    vector.  K collects the closures of the met strata on which f vanishes
+    identically (for affine f a met stratum with f = 0 somewhere on its
+    closure is on-level outright, so closures of on-level strata are the
+    whole zero-level part of the locus).
     """
     cx = alpha.complex
     if f.dim != cx.ambient_dim:
@@ -104,16 +110,10 @@ def compute_intersection_locus(
     xi = f.linear
     entries: list[LocusEntry] = []
     for s in cx.simplices_sorted():
-        S = cx.stratum(s)
-        if not is_conormal(cx, S, xi):
-            continue
-        weak = dict(weak_sign_vector(cx, S, xi))
-        on_level = all(cx.vertex_value(f, v) == 0 for v in s)
-        for chamber in cc.chambers(S):
-            if all(weak[p] == 0 or weak[p] == sgn for p, sgn in chamber.sign_vector):
-                m = cc.multiplicity(S, chamber.witness)
-                if m != 0:
-                    entries.append(LocusEntry(s, chamber.sign_vector, m, on_level))
+        met = [(sv, m) for sv, m in cc.closure_chambers(s, xi) if m != 0]
+        if met:
+            on_level = all(cx.vertex_value(f, v) == 0 for v in s)
+            entries.extend(LocusEntry(s, sv, m, on_level) for sv, m in met)
     K = frozenset(
         close_under_faces({e.simplex for e in entries if e.on_level})
     )

@@ -1,18 +1,36 @@
-"""Chamber enumeration over every star hyperplane, kept as a test oracle.
+"""Chamber enumeration and closure queries by the rules the library replaced.
 
 The library first merges parallel star functionals, which cut one hyperplane,
 and runs the incremental extension over one representative of each.  This
 module keeps the rule it replaced: extend by every star vertex in turn, with
 one exact feasibility call per chamber and sign the partial witness does not
 already realize.  Nothing is cached.
+
+It also keeps the closure query the library replaced: enumerate every
+chamber over the stratum and keep those whose sign vector the covector's
+weak signs match, each with its multiplicity at the chamber's witness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from eulercc import EmbeddedComplex, StratumRef, Vec, strict_feasibility
-from eulercc.charcycle import ConormalChamber, conormal_basis
+from eulercc import (
+    ConstructibleFunction,
+    EmbeddedComplex,
+    StratumRef,
+    Vec,
+    enumerate_chambers,
+    multiplicity_at,
+    strict_feasibility,
+)
+from eulercc.charcycle import (
+    ConormalChamber,
+    SignVector,
+    conormal_basis,
+    weak_sign_vector,
+)
+from eulercc.constructible import is_conormal
 
 
 def enumerate_chambers_per_vertex(
@@ -50,3 +68,19 @@ def enumerate_chambers_per_vertex(
         chambers.append(ConormalChamber(S, tuple(zip(star.vertex_ids, signs)), xi))
     chambers.sort(key=lambda c: c.sign_vector)
     return chambers
+
+
+def closure_chambers_by_filter(
+    alpha: ConstructibleFunction, S: StratumRef, xi: Vec
+) -> list[tuple[SignVector, int]]:
+    """(sign vector, multiplicity) of every chamber over S whose closure holds
+    xi, by filtering all of them; empty when xi is not conormal."""
+    cx = alpha.complex
+    if not is_conormal(cx, S, xi):
+        return []
+    weak = dict(weak_sign_vector(cx, S, xi))
+    out = []
+    for chamber in enumerate_chambers(cx, S):
+        if all(weak[p] == 0 or weak[p] == sgn for p, sgn in chamber.sign_vector):
+            out.append((chamber.sign_vector, multiplicity_at(alpha, S, chamber.witness)))
+    return out

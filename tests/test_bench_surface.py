@@ -2,24 +2,33 @@
 
 perfbench/ imports package names and wraps package functions by name, so a
 change that renames or removes one of them fails here, not only when the
-benchmark runs.
+benchmark runs.  A traced run must end its stdout with one strict JSON
+object that carries every per-layer metric BENCHMARK.json declares.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
+import run  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
 @pytest.mark.parametrize("name", sorted(workloads.BUILDERS))
-def test_workload_builds_checks_and_traces(name: str) -> None:
+def test_workload_builds_checks_and_traces(name: str, capsys) -> None:
     verdicts = workloads.BUILDERS[name](1)
     assert len(verdicts) >= 100
     first = verdicts[0]
@@ -30,3 +39,17 @@ def test_workload_builds_checks_and_traces(name: str) -> None:
         assert tracer.absent == []
     finally:
         tracer.uninstall()
+
+    assert run.main(["--workload", name, "--seed", "1", "--trace", "1"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    result = json.loads(last, parse_constant=_reject_constant)
+    assert result["correct"] is True
+    metrics = result["metrics"]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    missing = [m["name"] for m in declared if m["name"] not in metrics]
+    assert missing == []
+    for key, m in metrics.items():
+        value = m["value"]
+        assert isinstance(value, (int, float)) and math.isfinite(value), key
+        assert value >= 0, key
+    assert metrics["charcycle.memo_hit_ratio"]["value"] <= 1

@@ -18,6 +18,7 @@ from eulercc import (
     TheoremReport,
     TransversalityError,
     Vec,
+    barycentric_subdivide,
     boundary_estimate_check,
     compute_intersection_locus,
     from_values,
@@ -27,8 +28,10 @@ from eulercc import (
     random_fixture,
     rat,
     simplex,
+    transport,
     verify_theorem1,
 )
+from eulercc.constructible import is_conormal
 from eulercc.fixtures import vertex_pair_lines
 from eulercc.io import dumps, jsonable
 
@@ -62,6 +65,25 @@ def test_locus_off_level_entries_are_kept(by_name) -> None:
     assert len(entries) == 2
     assert all(not e.on_level for e in entries)
     assert support == frozenset()
+
+
+def test_locus_enumerates_chambers_only_where_the_star_pairs_to_zero(by_name) -> None:
+    fx = by_name["triangle"]
+    alpha = transport(fx.functions["random0"], barycentric_subdivide(fx.complex, 1))
+    cx = alpha.complex
+    f = vertex_pair_lines(cx, 0, 1)[0]
+    entries, _ = compute_intersection_locus(alpha, f)
+    assert entries
+    partial = 0
+    for s in cx.simplices_sorted():
+        S = cx.stratum(s)
+        star = cx.star_geometry(S)
+        pairings = star.pairings(f.linear)
+        if star.vertex_ids and not any(pairings):
+            continue
+        partial += is_conormal(cx, S, f.linear) and 0 in pairings
+        assert star.chambers is None, sorted(s)
+    assert partial > 0
 
 
 def test_identity_on_cheap_cases(by_name) -> None:
