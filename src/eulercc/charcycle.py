@@ -14,7 +14,11 @@ of the star of S (see constructible.halflink_integral), and the formula is
 the PL local index formula for characteristic cycles (Kashiwara-Schapira,
 Sheaves on Manifolds, Ch. IX; Schapira, "Operations on constructible
 functions", JPAA 1991).  tests/test_halflink_oracle.py checks it against the
-exact normal-slice geometry.  Nothing is materialized up front.  A support
+exact normal-slice geometry.  The geometry over S is read in int from one
+conormal frame per stratum (conormal_frame): a basis of the conormal space
+and, per star vertex, its functional on it as a primitive integer vector,
+so chambers are extended by Fourier-Motzkin on those rows and closure
+queries read their weak signs.  Nothing is materialized up front.  A support
 query at one covector xi reads only the chambers whose closure holds xi:
 those of the sub-arrangement of the hyperplanes through xi, which is xi's
 own chamber when no star vertex pairs to zero with it.  Only the queries
@@ -29,6 +33,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd
+from typing import NamedTuple
 
 from .complexes import EmbeddedComplex, Simplex, StratumRef, carrier
 from .constructible import (
@@ -40,7 +46,15 @@ from .constructible import (
     star_signs,
 )
 from .errors import InputError
-from .linalg import Vec, matrix_rank, orthogonal_complement, strict_feasibility
+from .linalg import (
+    Vec,
+    _dot_ratio,
+    _fm_feasible,
+    _rref,
+    clear_denominators,
+    int_dot,
+    orthogonal_complement,
+)
 
 SignVector = tuple[tuple[int, int], ...]  # ((star vertex id, sign), ...) sorted
 
@@ -62,8 +76,34 @@ class ConormalChamber:
         return dict(self.sign_vector)
 
 
-def conormal_basis(cx: EmbeddedComplex, S: StratumRef) -> tuple[Vec, ...]:
-    return orthogonal_complement(list(S.direction_basis), cx.ambient_dim)
+class ConormalFrame(NamedTuple):
+    """The conormal space of a stratum, with the star functionals on it.
+
+    basis spans the covectors orthogonal to the stratum's directions.
+    functionals[i] is the primitive integer vector that is a positive multiple
+    of t -> sum of t_j * (basis[j] . directions[i]): the covector
+    sum of t_j * basis[j] pairs with star vertex i with the sign of
+    functionals[i] . t, and two star vertices cut one hyperplane exactly when
+    their functionals agree up to sign.
+    """
+
+    basis: tuple[Vec, ...]
+    functionals: tuple[tuple[int, ...], ...]
+
+
+def conormal_frame(cx: EmbeddedComplex, S: StratumRef) -> ConormalFrame:
+    """The conormal frame of S, computed once and stored in its star geometry."""
+    star = cx.star_geometry(S)
+    if star.conormal is None:
+        basis = orthogonal_complement(list(S.direction_basis), cx.ambient_dim)
+        cleared = clear_denominators(*basis)
+        functionals = []
+        for d in star.integer_directions:
+            row = [int_dot(e, d) for e in cleared]
+            g = gcd(*row)
+            functionals.append(tuple(x // g for x in row) if g > 1 else tuple(row))
+        star.conormal = ConormalFrame(basis, tuple(functionals))
+    return star.conormal
 
 
 def is_nondegenerate(cx: EmbeddedComplex, S, xi: Vec) -> bool:
@@ -94,57 +134,61 @@ def weak_sign_vector(cx: EmbeddedComplex, S: StratumRef, xi: Vec) -> SignVector:
     return tuple(out)
 
 
-def _functional(basis: Sequence[Vec], direction: Vec) -> Vec:
-    """xi -> xi . direction on the conormal space, in the coordinates of basis."""
-    return Vec(tuple(e.dot(direction) for e in basis))
-
-
 def _parallel_classes(
-    functionals: Sequence[Vec],
-) -> tuple[list[Vec], list[tuple[int, int]]]:
-    """One representative of each parallel class of nonzero functionals.
+    functionals: Sequence[tuple[int, ...]],
+) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
+    """One representative of each parallel class of primitive functionals.
 
-    Returns the representatives in order of first appearance and, per
-    functional, (index of its representative, sign of their ratio).
+    A primitive integer vector is determined by its line up to sign, so the
+    classes are keyed on the functional with its first nonzero entry made
+    positive.  Returns the representatives in order of first appearance and,
+    per functional, (index of its representative, sign of their ratio).
     """
-    distinct: list[Vec] = []
-    leads: dict[tuple[Fraction, ...], tuple[int, Fraction]] = {}
+    distinct: list[tuple[int, ...]] = []
+    leads: dict[tuple[int, ...], tuple[int, int]] = {}
     classes: list[tuple[int, int]] = []
     for func in functionals:
-        lead = next(x for x in func if x != 0)
-        key = tuple(x / lead for x in func)
+        lead = 1 if next(x for x in func if x != 0) > 0 else -1
+        key = func if lead > 0 else tuple(-x for x in func)
         if key not in leads:
             leads[key] = (len(distinct), lead)
             distinct.append(func)
         k, rep_lead = leads[key]
-        classes.append((k, 1 if (lead > 0) == (rep_lead > 0) else -1))
+        classes.append((k, lead * rep_lead))
     return distinct, classes
 
 
-def _extend(distinct: Sequence[Vec], w: int) -> list[tuple[list[int], Vec]]:
+def _extend(
+    distinct: Sequence[tuple[int, ...]], w: int
+) -> list[tuple[list[int], Vec]]:
     """Every realizable strict sign vector of the central arrangement in R^w
-    cut by the given pairwise nonparallel functionals, with an interior point.
+    cut by the given pairwise nonparallel primitive functionals, with an
+    interior point.
 
     Every chamber of the first i hyperplanes is extended by the sign it
-    already realizes for free, and by the opposite sign through one exact
-    feasibility call.
+    already realizes for free, and by the opposite sign through one
+    Fourier-Motzkin call on the strict constraints s_j * functional_j . t > 0.
+    Those rows are primitive already, and with no equalities
+    linalg.strict_feasibility reduces to the same call (its point is 0, its
+    basis the unit vectors and its embedding the identity), so each witness
+    is the one it returns (tests/chamber_oracle.py).
     """
     partial: list[tuple[list[int], Vec]] = [([], Vec.zero(w))]
     for func in distinct:
         grown: list[tuple[list[int], Vec]] = []
         for signs, wit_t in partial:
-            at_wit = func.dot(wit_t)
+            at_wit = _dot_ratio(func, wit_t.entries)[0]
             for cand in (1, -1):
                 if at_wit != 0 and (1 if at_wit > 0 else -1) == cand:
                     grown.append((signs + [cand], wit_t))
                     continue
-                stricts = [
-                    (distinct[j].scale(s), Fraction(0))
+                cons = [
+                    (tuple(s * x for x in distinct[j]), 0, True)
                     for j, s in enumerate(signs)
-                ] + [(func.scale(cand), Fraction(0))]
-                res = strict_feasibility([], stricts, [], w)
-                if res.feasible:
-                    grown.append((signs + [cand], res.witness))
+                ] + [(tuple(cand * x for x in func), 0, True)]
+                witness = _fm_feasible(cons, w)
+                if witness is not None:
+                    grown.append((signs + [cand], witness))
         partial = grown
     return partial
 
@@ -153,8 +197,10 @@ def enumerate_chambers(cx: EmbeddedComplex, S) -> list[ConormalChamber]:
     """All realizable strict sign vectors over S, each with an interior witness.
 
     Incremental construction over the star-vertex hyperplane arrangement in
-    the conormal subspace.  Star vertices whose functionals xi -> xi . (p - b)
-    are parallel cut one hyperplane, so the extension (_extend) runs over one
+    the conormal subspace, in the coordinates of the stratum's conormal frame
+    (conormal_frame), where each star vertex's functional xi -> xi . (p - b)
+    is a primitive integer vector.  Star vertices whose functionals are
+    parallel cut one hyperplane, so the extension (_extend) runs over one
     representative of each parallel class (_parallel_classes).  Each star
     vertex then reads its sign off its representative's, times the sign of
     the ratio of the two functionals.  The witnesses are those of the
@@ -173,14 +219,12 @@ def enumerate_chambers(cx: EmbeddedComplex, S) -> list[ConormalChamber]:
     if not star.vertex_ids:
         star.chambers = (ConormalChamber(S, (), Vec.zero(cx.ambient_dim)),)
         return list(star.chambers)
-    basis = conormal_basis(cx, S)
-    distinct, classes = _parallel_classes(
-        [_functional(basis, d) for d in star.directions]
-    )
+    frame = conormal_frame(cx, S)
+    distinct, classes = _parallel_classes(frame.functionals)
     chambers = []
-    for signs, wit_t in _extend(distinct, len(basis)):
+    for signs, wit_t in _extend(distinct, len(frame.basis)):
         xi = Vec.zero(cx.ambient_dim)
-        for coeff, e in zip(wit_t, basis):
+        for coeff, e in zip(wit_t, frame.basis):
             xi = xi + e.scale(coeff)
         sv = tuple((p, signs[k] * r) for p, (k, r) in zip(star.vertex_ids, classes))
         chambers.append(ConormalChamber(S, sv, xi))
@@ -202,7 +246,7 @@ def chamber_witnesses(
         return out[:count]
     S = chamber.stratum
     dirs = cx.star_geometry(S).directions
-    for e in conormal_basis(cx, S):
+    for e in conormal_frame(cx, S).basis:
         if len(out) >= count:
             break
         margin: Fraction | None = None
@@ -309,22 +353,29 @@ class CharacteristicCycle:
             S = cx.stratum(S)
         if not is_conormal(cx, S, xi):
             return []
-        weak = weak_sign_vector(cx, S, xi)
+        return self._chambers_around(S, weak_sign_vector(cx, S, xi))
+
+    def _chambers_around(
+        self, S: StratumRef, weak: SignVector
+    ) -> list[tuple[SignVector, int]]:
+        """closure_chambers at a conormal covector with the weak sign vector
+        weak, which is all the query reads of it."""
         zeros = [i for i, (_, sign) in enumerate(weak) if sign == 0]
         if weak and len(zeros) == len(weak):
             return [(c.sign_vector, m) for c, m in self.chamber_multiplicities(S)]
         if not zeros:
             sign_vectors = [weak]
         else:
-            basis = conormal_basis(cx, S)
-            directions = cx.star_geometry(S).directions
+            frame = conormal_frame(self.complex, S)
             distinct, classes = _parallel_classes(
-                [_functional(basis, directions[i]) for i in zeros]
+                [frame.functionals[i] for i in zeros]
             )
-            if matrix_rank(distinct) == len(distinct):
+            if len(_rref([list(f) for f in distinct])) == len(distinct):
                 patterns = product((1, -1), repeat=len(distinct))
             else:
-                patterns = (signs for signs, _ in _extend(distinct, len(basis)))
+                patterns = (
+                    signs for signs, _ in _extend(distinct, len(frame.basis))
+                )
             sign_vectors = []
             for signs in patterns:
                 sv = list(weak)

@@ -126,13 +126,15 @@ class StarGeometry:
     integer_directions[i] is a positive integer multiple of directions[i]:
     the sign of a pairing with a covector, and the ratio of two pairings with
     one direction, do not change under positive scaling, so sign tests pair
-    in int.  chambers is
-    None until charcycle.enumerate_chambers stores the conormal chambers of S.
+    in int.  conormal is None until charcycle.conormal_frame stores the
+    conormal basis of S with the star functionals on it, and chambers is None
+    until charcycle.enumerate_chambers stores the conormal chambers of S.
     """
 
     vertex_ids: tuple[int, ...]
     directions: tuple[Vec, ...]
     integer_directions: tuple[tuple[int, ...], ...]
+    conormal: tuple | None = None
     chambers: tuple | None = None
 
     def pairings(self, xi: Vec) -> list[int]:

@@ -23,7 +23,7 @@ from .complexes import (
 from .errors import DegeneracyError, InputError, UnstableLevelError
 from .functions import AffineFunction
 from .linalg import Vec, rat
-from .subdivision import SubdivisionResult, hyperplane_side
+from .subdivision import SubdivisionResult
 
 
 @dataclass(eq=False)
@@ -276,11 +276,27 @@ def dual(alpha: ConstructibleFunction) -> ConstructibleFunction:
 def side_partition(
     cx: EmbeddedComplex, g: AffineFunction, delta
 ) -> dict[int, list[Simplex]]:
-    """Split simplices by side of {g = delta}; input error when one straddles."""
+    """Split simplices by side of {g = delta}; input error when one straddles.
+
+    g - delta is evaluated once per vertex.  An open simplex lies on the
+    level when all its vertices do, below (-1) when none is above, above (+1)
+    when none is below, and straddles the level otherwise; the first
+    straddling simplex in sorted order is named.
+    """
     delta = rat(delta)
+    side = []
+    for i in range(len(cx.vertices)):
+        h = cx.vertex_value(g, i) - delta
+        side.append(0 if h == 0 else (1 if h > 0 else -1))
     out: dict[int, list[Simplex]] = {-1: [], 0: [], 1: []}
     for s in cx.simplices_sorted():
-        out[hyperplane_side(cx, s, g, delta)].append(s)
+        signs = {side[v] for v in s}
+        if 1 not in signs:
+            out[-1 if -1 in signs else 0].append(s)
+        elif -1 not in signs:
+            out[1].append(s)
+        else:
+            raise InputError(f"simplex {sorted(s)} straddles the level {delta}")
     return out
 
 

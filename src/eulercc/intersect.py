@@ -45,7 +45,7 @@ from .errors import (
     TransversalityError,
 )
 from .functions import AffineFunction, squared_distance_from
-from .linalg import Vec, rat
+from .linalg import Vec, _dot_ratio, clear_denominators, int_dot, rat
 from .morse import RationalSampler, stabilized_count
 from .subdivision import subdivide_along_hyperplane
 
@@ -345,52 +345,68 @@ def _decomposable(
     star vertices is piecewise constant in lambda, so testing every
     breakpoint, midpoint, endpoint and one point beyond the last breakpoint
     decides membership exactly.
+
+    Everything is paired in int: xi and dg are cleared by one common positive
+    multiplier to x and g, so that with D_p the integer star direction of
+    star vertex p, omega(lambda) pairs with it with the sign of
+    X_p - lambda * G_p, where X_p = x . D_p and G_p = g . D_p.  The
+    breakpoints are lambda_p = X_p / G_p, and at lambda = P/Q (Q > 0) the weak
+    sign at p is that of Q * X_p - P * G_p; that weak sign vector is all the
+    closure query (CharacteristicCycle._chambers_around) reads.
     """
     cx = cc_alpha.complex
+    x, g = clear_denominators(xi, dg)
     for s2 in [Sp.simplex] + list(cx.strict_cofaces(Sp.simplex)):
         S2 = cx.stratum(s2)
-        forced: Fraction | None = None
+        forced: tuple[int, int] | None = None  # lambda as (b, a), a != 0
         compatible = True
         for d in S2.direction_basis:
-            a = dg.dot(d)
-            b = xi.dot(d)
+            # numerators over one denominator, which depends on d alone
+            a = _dot_ratio(g, d.entries)[0]
+            b = _dot_ratio(x, d.entries)[0]
             if a == 0:
                 if b != 0:
                     compatible = False
                     break
-            else:
-                lam0 = b / a
-                if forced is None:
-                    forced = lam0
-                elif forced != lam0:
-                    compatible = False
-                    break
+            elif forced is None:
+                forced = (b, a)
+            elif b * forced[1] != forced[0] * a:
+                compatible = False
+                break
         if not compatible:
             continue
         if forced is not None:
+            lam = Fraction(*forced)
             # forced != 0: a nondegenerate witness xi is conormal to no strict coface
-            if _lambda_sign_ok(forced, side) and cc_alpha.closure_supports(
-                S2, xi - dg.scale(forced)
-            ):
-                return True
-            continue
-        candidates = {Fraction(0)}
-        for dvec in cx.star_geometry(S2).directions:
-            a = dg.dot(dvec)
-            if a != 0:
-                lam_p = xi.dot(dvec) / a
-                if _lambda_sign_ok(lam_p, side):
-                    candidates.add(lam_p)
-        ordered = sorted(candidates)
-        tests = list(ordered)
-        for left, right in zip(ordered, ordered[1:]):
-            tests.append((left + right) / 2)
-        if side == "shriek":
-            tests.append(ordered[-1] + 1)
+            if not _lambda_sign_ok(lam, side):
+                continue
+        star = cx.star_geometry(S2)
+        X = [int_dot(x, D) for D in star.integer_directions]
+        G = [int_dot(g, D) for D in star.integer_directions]
+        if forced is not None:
+            tests = [lam]
         else:
-            tests.append(ordered[0] - 1)
+            candidates = {Fraction(0)}
+            for Xp, Gp in zip(X, G):
+                if Gp != 0:
+                    lam_p = Fraction(Xp, Gp)
+                    if _lambda_sign_ok(lam_p, side):
+                        candidates.add(lam_p)
+            ordered = sorted(candidates)
+            tests = list(ordered)
+            for left, right in zip(ordered, ordered[1:]):
+                tests.append((left + right) / 2)
+            if side == "shriek":
+                tests.append(ordered[-1] + 1)
+            else:
+                tests.append(ordered[0] - 1)
         for lam in tests:
-            if cc_alpha.closure_supports(S2, xi - dg.scale(lam)):
+            p, q = lam.numerator, lam.denominator
+            weak = []
+            for v, Xv, Gv in zip(star.vertex_ids, X, G):
+                w = q * Xv - p * Gv
+                weak.append((v, 0 if w == 0 else (1 if w > 0 else -1)))
+            if any(m != 0 for _, m in cc_alpha._chambers_around(S2, tuple(weak))):
                 return True
     return False
 

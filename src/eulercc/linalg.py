@@ -13,7 +13,10 @@ keeps each constraint as a primitive integer vector.  The three workhorses are
 `strict_feasibility` (Fourier-Motzkin decision procedure for mixed
 strict/weak linear systems, with an exact interior witness and the dimension
 of the feasible set).  tests/linalg_oracle.py keeps the Fraction
-implementations they replaced.
+implementations they replaced.  No verifier calls `strict_feasibility` any
+more: chamber enumeration and closure queries pass their primitive strict
+rows, which need no reduction, to `_fm_feasible` directly.  It stays for
+complexes.validate, morse.critical_points and the public API.
 """
 
 from __future__ import annotations

@@ -8,10 +8,9 @@ what lets constructible data transport across refinements unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
-from .complexes import EmbeddedComplex, Simplex, close_under_faces, simplex
+from .complexes import EmbeddedComplex, Simplex, close_under_faces, simplex, sort_key
 from .errors import InputError
 from .functions import AffineFunction
 from .linalg import Vec, rat
@@ -75,43 +74,28 @@ def _barycentric_once(cx: EmbeddedComplex) -> SubdivisionResult:
     return SubdivisionResult(refined, ancestry)
 
 
-def hyperplane_side(cx: EmbeddedComplex, s: Simplex, f: AffineFunction, c: Fraction) -> int:
-    """-1, 0, +1 when the open simplex lies in {f<c}, {f=c}, {f>c}.
-
-    Raises if the simplex straddles the level, which cannot happen after
-    subdivide_along_hyperplane.
-    """
-    values = [cx.vertex_value(f, v) for v in s]
-    if all(v == c for v in values):
-        return 0
-    if all(v <= c for v in values):
-        return -1
-    if all(v >= c for v in values):
-        return 1
-    raise InputError(f"simplex {sorted(s)} straddles the level {c}")
-
-
 def subdivide_along_hyperplane(cx: EmbeddedComplex, f: AffineFunction, c) -> SubdivisionResult:
     """Refine so every open simplex lies in {f<c}, {f=c} or {f>c}.
 
     Implementation: stellar subdivision at the cut point of every edge whose
     endpoint values strictly straddle c.  New edges are always incident to a
     cut vertex (value exactly c), so no straddling edge is ever created and
-    the loop terminates with the support unchanged.
+    the loop terminates with the support unchanged.  The first straddling
+    edge in sorted order is cut first.  f is evaluated once per vertex of cx,
+    and each cut vertex, appended last, has the value c.
     """
     if f.dim != cx.ambient_dim:
         raise InputError("hyperplane function dimension mismatch")
     c = rat(c)
     result = identity_subdivision(cx)
+    values = [cx.vertex_value(f, i) for i in range(len(cx.vertices))]
     while True:
         current = result.complex
         cut_edge = None
-        for s in current.simplices_sorted():
-            if len(s) != 2:
-                continue
+        edges = sorted((e for e in current.simplices if len(e) == 2), key=sort_key)
+        for s in edges:
             u, v = sorted(s)
-            fu = current.vertex_value(f, u)
-            fv = current.vertex_value(f, v)
+            fu, fv = values[u], values[v]
             if (fu < c < fv) or (fv < c < fu):
                 cut_edge = (s, u, v, fu, fv)
                 break
@@ -121,6 +105,7 @@ def subdivide_along_hyperplane(cx: EmbeddedComplex, f: AffineFunction, c) -> Sub
         t = (c - fu) / (fv - fu)
         point = current.vertices[u] + (current.vertices[v] - current.vertices[u]).scale(t)
         result = result.compose(_stellar_edge(current, s, point))
+        values.append(c)
 
 
 def _stellar_edge(cx: EmbeddedComplex, edge: Simplex, point: Vec) -> SubdivisionResult:
@@ -150,12 +135,3 @@ def subdivided_region_is_exact(result: SubdivisionResult, region) -> bool:
     reg = result.transport_region(region)
     return close_under_faces(set(reg)) == set(reg)
 
-
-def classify_sides(
-    cx: EmbeddedComplex, f: AffineFunction, c
-) -> dict[int, list[Simplex]]:
-    c = rat(c)
-    out: dict[int, list[Simplex]] = {-1: [], 0: [], 1: []}
-    for s in cx.simplices_sorted():
-        out[hyperplane_side(cx, s, f, c)].append(s)
-    return out

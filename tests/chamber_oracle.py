@@ -9,6 +9,11 @@ already realize.  Nothing is cached.
 It also keeps the closure query the library replaced: enumerate every
 chamber over the stratum and keep those whose sign vector the covector's
 weak signs match, each with its multiplicity at the chamber's witness.
+
+And it keeps the extension the library ran before its integer conormal
+frame: Fraction functionals in the coordinates of the conormal basis, parallel
+classes keyed on the functional divided by its first nonzero entry, and one
+linalg.strict_feasibility call per chamber and sign.
 """
 
 from __future__ import annotations
@@ -24,13 +29,9 @@ from eulercc import (
     multiplicity_at,
     strict_feasibility,
 )
-from eulercc.charcycle import (
-    ConormalChamber,
-    SignVector,
-    conormal_basis,
-    weak_sign_vector,
-)
+from eulercc.charcycle import ConormalChamber, SignVector, weak_sign_vector
 from eulercc.constructible import is_conormal
+from eulercc.linalg import orthogonal_complement
 
 
 def enumerate_chambers_per_vertex(
@@ -40,7 +41,7 @@ def enumerate_chambers_per_vertex(
     star = cx.star_geometry(S)
     if not star.vertex_ids:
         return [ConormalChamber(S, (), Vec.zero(cx.ambient_dim))]
-    basis = conormal_basis(cx, S)
+    basis = orthogonal_complement(list(S.direction_basis), cx.ambient_dim)
     w = len(basis)
     functionals = [Vec(tuple(e.dot(d) for e in basis)) for d in star.directions]
     partial: list[tuple[list[int], Vec]] = [([], Vec.zero(w))]
@@ -84,3 +85,58 @@ def closure_chambers_by_filter(
         if all(weak[p] == 0 or weak[p] == sgn for p, sgn in chamber.sign_vector):
             out.append((chamber.sign_vector, multiplicity_at(alpha, S, chamber.witness)))
     return out
+
+
+def fraction_functionals(cx: EmbeddedComplex, S: StratumRef) -> list[Vec]:
+    """xi -> xi . (p - b) on the conormal space of S, per star vertex p, in
+    the coordinates of a freshly computed conormal basis."""
+    basis = orthogonal_complement(list(S.direction_basis), cx.ambient_dim)
+    return [
+        Vec(tuple(e.dot(d) for e in basis))
+        for d in cx.star_geometry(S).directions
+    ]
+
+
+def parallel_classes_by_ratio(
+    functionals: list[Vec],
+) -> tuple[list[Vec], list[tuple[int, int]]]:
+    """One representative of each parallel class, in order of first
+    appearance, and per functional (index of its representative, sign of
+    their ratio)."""
+    distinct: list[Vec] = []
+    leads: dict[tuple[Fraction, ...], tuple[int, Fraction]] = {}
+    classes: list[tuple[int, int]] = []
+    for func in functionals:
+        lead = next(x for x in func if x != 0)
+        key = tuple(x / lead for x in func)
+        if key not in leads:
+            leads[key] = (len(distinct), lead)
+            distinct.append(func)
+        k, rep_lead = leads[key]
+        classes.append((k, 1 if (lead > 0) == (rep_lead > 0) else -1))
+    return distinct, classes
+
+
+def extend_by_feasibility(distinct: list[Vec], w: int) -> list[tuple[list[int], Vec]]:
+    """Every realizable strict sign vector of the central arrangement in R^w
+    cut by pairwise nonparallel functionals, with an interior point: each
+    chamber of the first i hyperplanes takes the sign it realizes for free,
+    and the opposite sign through one exact feasibility call."""
+    partial: list[tuple[list[int], Vec]] = [([], Vec.zero(w))]
+    for func in distinct:
+        grown: list[tuple[list[int], Vec]] = []
+        for signs, wit_t in partial:
+            at_wit = func.dot(wit_t)
+            for cand in (1, -1):
+                if at_wit != 0 and (1 if at_wit > 0 else -1) == cand:
+                    grown.append((signs + [cand], wit_t))
+                    continue
+                stricts = [
+                    (distinct[j].scale(s), Fraction(0))
+                    for j, s in enumerate(signs)
+                ] + [(func.scale(cand), Fraction(0))]
+                res = strict_feasibility([], stricts, [], w)
+                if res.feasible:
+                    grown.append((signs + [cand], res.witness))
+        partial = grown
+    return partial

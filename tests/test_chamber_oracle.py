@@ -3,7 +3,13 @@ local closure queries against filtering every chamber."""
 
 from __future__ import annotations
 
-from chamber_oracle import closure_chambers_by_filter, enumerate_chambers_per_vertex
+from chamber_oracle import (
+    closure_chambers_by_filter,
+    enumerate_chambers_per_vertex,
+    extend_by_feasibility,
+    fraction_functionals,
+    parallel_classes_by_ratio,
+)
 
 import eulercc.charcycle as charcycle
 from eulercc import (
@@ -56,6 +62,32 @@ def test_distinct_hyperplanes_match_per_vertex_enumeration(builtins) -> None:
             if got != want:
                 mismatches.append((name, sorted(s)))
     assert strata > 1800 and chambers > 5000
+    assert mismatches == []
+
+
+def test_integer_extension_matches_the_feasibility_extension(builtins) -> None:
+    """The extension over the frame's primitive functionals, through
+    Fourier-Motzkin directly, returns the (signs, witness) list of the
+    Fraction functionals through strict_feasibility, with the same classes."""
+    strata = chambers = 0
+    mismatches = []
+    for name, cx in _corpus(builtins):
+        for s in cx.simplices_sorted():
+            S = cx.stratum(s)
+            if not cx.star_geometry(S).vertex_ids:
+                continue
+            frame = charcycle.conormal_frame(cx, S)
+            distinct, classes = charcycle._parallel_classes(frame.functionals)
+            got = charcycle._extend(distinct, len(frame.basis))
+            old_distinct, old_classes = parallel_classes_by_ratio(
+                fraction_functionals(cx, S)
+            )
+            want = extend_by_feasibility(old_distinct, len(frame.basis))
+            strata += 1
+            chambers += len(want)
+            if (classes, got) != (old_classes, want):
+                mismatches.append((name, sorted(s)))
+    assert strata > 1200 and chambers > 4000
     assert mismatches == []
 
 

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import gc
+import types
+
 import pytest
 
+import eulercc.charcycle as charcycle
+import eulercc.intersect as intersect
 from eulercc import (
     CharacteristicCycle,
+    EmbeddedComplex,
     InputError,
     Vec,
     antipodal_support_check,
+    boundary_estimate_check,
     chamber_witnesses,
     constant_function,
     dual,
@@ -20,7 +27,12 @@ from eulercc import (
     simplex,
     support_contains,
 )
-from eulercc.charcycle import conormal_basis, strict_sign_vector, weak_sign_vector
+from eulercc.charcycle import (
+    conormal_frame,
+    strict_sign_vector,
+    weak_sign_vector,
+)
+from eulercc.linalg import orthogonal_complement
 
 # conormal multiplicities of the constant function along the book spine,
 # keyed by the chamber signs at the three page tips
@@ -35,7 +47,7 @@ BOOK_SPINE_TABLE = {
 def test_conormal_basis_dimensions(by_name) -> None:
     cx = by_name["book"].complex
     spine = cx.stratum(simplex([0, 1]))
-    basis = conormal_basis(cx, spine)
+    basis = conormal_frame(cx, spine).basis
     assert len(basis) == cx.ambient_dim - spine.dim
     for b in basis:
         for d in spine.direction_basis:
@@ -251,3 +263,73 @@ def test_dual_cycles_share_chambers_but_not_multiplicities(by_name) -> None:
                     assert md == (-1) ** k * multiplicity_at(
                         alpha, s, c.witness.scale(-1)
                     ), (name, sorted(s))
+
+
+def test_conormal_frame_is_computed_once_per_stratum(by_name, monkeypatch) -> None:
+    """Over one boundary_estimate_check, orthogonal_complement runs once for
+    each stratum whose conormal frame is read, the frame is held by its star
+    geometry alone, and the next check's fresh cut complex computes its own."""
+    calls = []
+    cuts = []
+    complement = charcycle.orthogonal_complement
+    subdivide = intersect.subdivide_along_hyperplane
+
+    def counting(vectors, dim):
+        calls.append(len(vectors))
+        return complement(vectors, dim)
+
+    def capturing(cx, f, c):
+        sub = subdivide(cx, f, c)
+        cuts.append(sub.complex)
+        return sub
+
+    monkeypatch.setattr(charcycle, "orthogonal_complement", counting)
+    monkeypatch.setattr(intersect, "subdivide_along_hyperplane", capturing)
+    fx = by_name["book"]
+    g = fx.morse_inputs[fx.cut_function]
+    framed_per_check = []
+    for side in ("shriek", "star"):
+        before = len(calls)
+        boundary_estimate_check(fx.functions["random0"], g, fx.cut_levels[0], side)
+        cx = cuts[-1]
+        stars = [cx.star_geometry(cx.stratum(s)) for s in cx.simplices_sorted()]
+        framed = [geo for geo in stars if geo.conormal is not None]
+        assert len(calls) - before == len(framed) > 5
+        for geo in framed:
+            holders = [
+                r for r in gc.get_referrers(geo.conormal)
+                if not isinstance(r, types.FrameType)
+            ]
+            # the star geometry itself, or its __dict__ once one is built
+            assert len(holders) == 1
+            assert holders[0] is geo or holders[0] is vars(geo)
+        framed_per_check.append(framed)
+    assert cuts[0] is not cuts[1]
+    first = {id(geo.conormal) for geo in framed_per_check[0]}
+    assert not any(id(geo.conormal) in first for geo in framed_per_check[1])
+
+
+def test_moved_coordinates_get_their_own_conormal_frames(by_name) -> None:
+    """A frame stored on one complex never serves another with the same
+    simplices: each is the one computed from that complex's own geometry."""
+    cx = by_name["triangle"].complex
+    moved = list(cx.vertices)
+    moved[0] = moved[0] + Vec.of(-5, -3)
+    first = EmbeddedComplex(cx.ambient_dim, cx.vertices, cx.simplices)
+    second = EmbeddedComplex(cx.ambient_dim, moved, cx.simplices)
+    differ = 0
+    for s in cx.simplices_sorted():
+        frames = []
+        for c in (first, second):
+            S = c.stratum(s)
+            frame = conormal_frame(c, S)
+            assert conormal_frame(c, S) is frame
+            basis = orthogonal_complement(list(S.direction_basis), c.ambient_dim)
+            assert frame.basis == basis
+            for func, d in zip(frame.functionals, c.star_geometry(S).directions):
+                exact = [e.dot(d) for e in basis]
+                ratio = next(x / f for x, f in zip(exact, func) if f != 0)
+                assert ratio > 0 and exact == [ratio * f for f in func]
+            frames.append(frame)
+        differ += frames[0] != frames[1]
+    assert differ > 0

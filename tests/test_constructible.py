@@ -139,6 +139,25 @@ def test_side_partition_requires_compatible_complex(by_name) -> None:
         side_partition(fx.complex, g, fx.cut_levels[0])
 
 
+def test_side_partition_names_the_first_straddling_simplex(builtins) -> None:
+    for fx in builtins:
+        g = fx.morse_inputs[fx.cut_function]
+        delta = fx.cut_levels[0]
+        cx = fx.complex
+        straddling = [
+            s
+            for s in cx.simplices_sorted()
+            if min(cx.vertex_value(g, v) for v in s)
+            < delta
+            < max(cx.vertex_value(g, v) for v in s)
+        ]
+        with pytest.raises(InputError) as exc:
+            side_partition(cx, g, delta)
+        assert str(exc.value) == (
+            f"simplex {sorted(straddling[0])} straddles the level {rat(delta)}"
+        ), fx.name
+
+
 def test_side_partition_covers_complex(by_name) -> None:
     fx = by_name["elbow"]
     g, res, _ = _cut_and_transport(fx, fx.cut_levels[0])
